@@ -251,8 +251,13 @@ class _LabelAllocator:
 
 
 class _Run:
-    """Mutable state of one algorithm run: evolving fan, recorded steps,
-    step budget shared with any nested runs."""
+    """Mutable state of one algorithm run: the evolving fan, the recorded
+    steps, the step budget shared with any nested runs, and the star
+    events Algorithm A has not yet folded into its worklist.
+
+    What a run reuses across steps (multiplicities, Box-point tests,
+    Algorithm A's candidates) lives in the lineage cache that the fans
+    of the run share; see `StackyFan`."""
 
     def __init__(self, fan: StackyFan, limits: RunLimits,
                  alloc: _LabelAllocator | None = None):
@@ -263,14 +268,7 @@ class _Run:
             _LabelAllocator(fan.divisors)
         self.steps: list[BlowupStep] = []
         self.count = 0
-        # Memos survive fan rebuilds: multiplicity and relative-interior
-        # tests depend only on primitive generators, which subdivisions
-        # and roots never alter on surviving rays.
-        self.maximal = set(fan.maximal_cones)
-        self.mult_memo: dict = {}
-        self.relint_memo: dict = {}
-        self.cand_memo: dict = {}
-        self.star_events: list = []
+        self.star_events: list[tuple[frozenset[int], int]] = []
 
     def charge(self) -> None:
         self.count += 1
@@ -356,16 +354,10 @@ def _star_at(run: _Run, centres, label: str, *, distinguished: bool,
     for c in centres:
         centre = frozenset(c)
         fan, eps = run.fan.stacky_star_subdivision(centre)
-        fan = fan.with_ray_label(eps, label, distinguished=distinguished)
-        run.fan = fan
+        run.fan = fan.with_ray_label(eps, label, distinguished=distinguished)
         eps_rays.append(eps)
         if len(centre) > 1:
-            affected = [m for m in run.maximal if centre <= m]
-            children = {(m - {r}) | {eps}
-                        for m in affected for r in centre}
-            run.maximal.difference_update(affected)
-            run.maximal.update(children)
-            run.star_events.append((centre, eps, tuple(children)))
+            run.star_events.append((centre, eps))
     run.record(kind="star",
                centres=tuple(tuple(sorted(c)) for c in centres),
                exceptional=label, psi=psi)
@@ -376,27 +368,6 @@ def _star_at(run: _Run, centres, label: str, *, distinguished: bool,
 # Algorithm A: the inner loop on a formal ray sum
 
 
-def _psi_pairs(psi: FormalRaySum):
-    return psi.coefficients
-
-
-def _cone_mult(run: _Run, cone) -> int:
-    key = tuple(sorted(run.fan.rays[i].primitive for i in cone))
-    v = run.mult_memo.get(key)
-    if v is None:
-        v = run.mult_memo[key] = run.fan.multiplicity(cone)
-    return v
-
-
-def _cone_has_relint(run: _Run, cone) -> bool:
-    key = tuple(sorted(run.fan.rays[i].primitive for i in cone))
-    v = run.relint_memo.get(key)
-    if v is None:
-        v = run.relint_memo[key] = bool(
-            run.fan.parallelotope_points(cone, relative_interior=True))
-    return v
-
-
 def _resolve_ray_sum(run: _Run, psi: FormalRaySum) -> None:
     """Steps A3 to A5: root distinguished rays at their coefficients,
     then star subdivide at the support until it is a single ray.  The
@@ -404,14 +375,11 @@ def _resolve_ray_sum(run: _Run, psi: FormalRaySum) -> None:
     conserved = psi.beta(run.fan)
     while True:
         # A3: root the distinguished rays of the support.
-        support = sorted(psi.support)
-        dist = [i for i in support
-                if run.fan.labels[i] is not None
-                and run.fan.labels[i] in run.fan.distinguished]
-        weights = {i: psi.coefficient(i) for i in dist
+        weights = {i: psi.coefficient(i)
+                   for i in _distinguished_rays(run.fan, psi.support)
                    if psi.coefficient(i) > 1}
         if weights:
-            pairs = _psi_pairs(psi)
+            pairs = psi.coefficients
             run.fan = run.fan.root_construction(weights)
             coeffs = dict(psi.coefficients)
             for i in weights:
@@ -429,16 +397,15 @@ def _resolve_ray_sum(run: _Run, psi: FormalRaySum) -> None:
             return
         # A4: stacky star subdivision at the cone spanned by the support.
         centre = frozenset(psi.support)
-        if not any(centre <= m for m in run.maximal):
+        if not run.fan.has_cone(centre):
             raise PostconditionError(
                 f"support {sorted(centre)} does not span a cone")
         if not _distinguished_rays(run.fan, centre):
             raise PostconditionError(
                 f"inadmissible centre {sorted(centre)}: no distinguished ray")
         label = run.alloc.fresh()
-        pairs = _psi_pairs(psi)
         (eps,) = _star_at(run, [centre], label, distinguished=True,
-                          psi=pairs)
+                          psi=psi.coefficients)
         # A5: transform psi across the subdivision.
         coeffs = dict(psi.coefficients)
         for i in centre:
@@ -460,14 +427,20 @@ def resolve_ray_sum(fan: StackyFan, psi, limits: RunLimits | None = None
     return run.sequence()
 
 
-def _a_candidates(fan: StackyFan, cone) -> list[FormalRaySum]:
+def _a_candidates(fan: StackyFan, cone) -> tuple[FormalRaySum, ...]:
     """Minimal integer formal sums whose beta image lies on the ray
     through a nonzero lattice point of the cone's parallelotope and
-    whose support meets the distinguished locus."""
-    out = {}
+    whose support meets the distinguished locus.  Memoised in the fan's
+    lineage cache under the `"cand"` key described on `StackyFan`."""
     idx = sorted(cone)
+    dist = _distinguished_rays(fan, idx)
+    key = ("cand", tuple((i, fan.rays[i].beta, i in dist) for i in idx))
+    cached = fan._lineage.get(key)
+    if cached is not None:
+        return cached
+    out = {}
     multiples = [fan.rays[i].stacky_multiple for i in idx]
-    for point, lam in fan.parallelotope_lambdas(cone):
+    for point, lam in fan._parallelotope(cone):
         if all(x == 0 for x in lam):
             continue
         fracs = [Fraction(l) / m for l, m in zip(lam, multiples)]
@@ -477,30 +450,22 @@ def _a_candidates(fan: StackyFan, cone) -> list[FormalRaySum]:
         coeffs = [c // g for c in coeffs]
         psi = FormalRaySum(tuple(
             (i, c) for i, c in zip(idx, coeffs) if c))
-        support = psi.support
-        if not any(fan.labels[i] is not None
-                   and fan.labels[i] in fan.distinguished
-                   for i in support):
-            continue
-        out[psi.coefficients] = psi
-    return list(out.values())
+        if not psi.support.isdisjoint(dist):
+            out[psi.coefficients] = psi
+    cached = fan._lineage[key] = tuple(out.values())
+    return cached
 
 
 def _a_worklist(fan: StackyFan):
     """Cones with a distinguished ray whose parallelotope has a lattice
     point in its relative interior."""
-    out = []
-    for c in fan.cones():
-        if not c or not _distinguished_rays(fan, c):
-            continue
-        if fan.parallelotope_points(c, relative_interior=True):
-            out.append(c)
-    return out
+    return [c for c in fan.cones()
+            if c and _distinguished_rays(fan, c) and fan._has_relint(c)]
 
 
-def _a_key(run: _Run, cone):
-    return (len(cone) - len(_distinguished_rays(run.fan, cone)),
-            _cone_mult(run, cone))
+def _a_key(fan: StackyFan, cone):
+    return (len(cone) - len(_distinguished_rays(fan, cone)),
+            fan._multiplicity(cone))
 
 
 def _select_psi(candidates: list[FormalRaySum]) -> FormalRaySum:
@@ -511,55 +476,48 @@ def _select_psi(candidates: list[FormalRaySum]) -> FormalRaySum:
     return min(candidates, key=lambda p: p.coefficients[::-1])
 
 
-def _a_candidates_memo(run: _Run, cone):
-    key = tuple(sorted((i, run.fan.rays[i].primitive,
-                        run.fan.rays[i].stacky_multiple) for i in cone))
-    v = run.cand_memo.get(key)
-    if v is None:
-        v = run.cand_memo[key] = _a_candidates(run.fan, cone)
-    return v
-
-
 def _run_algorithm_a(run: _Run) -> None:
-    worklist = {c: _a_key(run, c) for c in _a_worklist(run.fan)}
+    worklist = {c: _a_key(run.fan, c) for c in _a_worklist(run.fan)}
     while worklist:
         run.star_events.clear()
         top = max(worklist.values())
         s_max = [c for c, k in worklist.items() if k == top]
         candidates = []
         for c in s_max:
-            candidates.extend(_a_candidates_memo(run, c))
+            candidates.extend(_a_candidates(run.fan, c))
         if not candidates:
             raise PostconditionError(
                 "no admissible candidate at a nonempty worklist")
         psi = _select_psi(candidates)
         _resolve_ray_sum(run, psi)
         # Each star removes exactly the cones containing its centre and
-        # every cone it adds contains its exceptional ray.
-        for centre, eps, children in run.star_events:
+        # every cone it adds contains its exceptional ray.  A live face
+        # through an exceptional ray lies in a maximal cone of the
+        # current fan through that ray, even when a later star of the
+        # chain subdivided the cone that first created it.
+        fan = run.fan
+        for centre, eps in run.star_events:
             for f in [f for f in worklist if centre <= f]:
                 del worklist[f]
             seen = set()
-            for child in children:
-                rest = sorted(child - {eps})
+            for m in fan.maximal_cones:
+                if eps not in m:
+                    continue
+                rest = sorted(m - {eps})
                 for r in range(len(rest) + 1):
                     for sub in itertools.combinations(rest, r):
                         f = frozenset(sub) | {eps}
                         if f in seen or f in worklist:
                             continue
                         seen.add(f)
-                        # A later star in the same chain may have destroyed
-                        # this face already.
-                        if not any(f <= m for m in run.maximal):
-                            continue
-                        if _distinguished_rays(run.fan, f) \
-                                and _cone_has_relint(run, f):
-                            worklist[f] = _a_key(run, f)
+                        if _distinguished_rays(fan, f) and fan._has_relint(f):
+                            worklist[f] = _a_key(fan, f)
     run.star_events.clear()
-    for c in run.fan.cones():
-        for i in _distinguished_rays(run.fan, c):
-            mc = _cone_mult(run, c)
-            if len(c) > 1 and _cone_mult(run, c - {i}) != mc:
+    fan = run.fan
+    for c in fan.cones():
+        for i in _distinguished_rays(fan, c):
+            mc = fan._multiplicity(c)
+            if len(c) > 1 and fan._multiplicity(c - {i}) != mc:
                 raise PostconditionError(
                     f"distinguished ray {i} not independent in {sorted(c)}")
 
@@ -579,27 +537,25 @@ def algorithm_a(fan: StackyFan, limits: RunLimits | None = None
 
 def _run_algorithm_b(run: _Run) -> None:
     while True:
+        fan = run.fan
         worklist = []
-        for c in run.fan.cones():
+        for c in fan.cones():
             if len(c) < 2:
                 continue
-            mc = _cone_mult(run, c)
-            if all(_cone_mult(run, c - {i}) != mc for i in c):
+            mc = fan._multiplicity(c)
+            if all(fan._multiplicity(c - {i}) != mc for i in c):
                 worklist.append(c)
         if not worklist:
             break
         centre = max(worklist, key=lambda c: (len(c), cone_key(c)))
-        label = run.alloc.fresh()
-        (eps,) = _star_at(run, [centre], label, distinguished=True)
+        _star_at(run, [centre], run.alloc.fresh(), distinguished=True)
         _run_algorithm_a(run)
         run.fan = run.fan.forget_distinguished()
-        # Cached candidate lists were filtered by the old distinguished
-        # set and are stale once it changes.
-        run.cand_memo.clear()
     for c in run.fan.cones():
-        if _cone_mult(run, c) != 1:
+        m = run.fan._multiplicity(c)
+        if m != 1:
             raise PostconditionError(
-                f"cone {sorted(c)} has multiplicity {_cone_mult(run, c)}")
+                f"cone {sorted(c)} has multiplicity {m}")
 
 
 def algorithm_b(fan: StackyFan, limits: RunLimits | None = None
@@ -722,6 +678,19 @@ def divisorialify_along(fan: StackyFan, limits: RunLimits | None = None
 # recipe fans and destackification
 
 
+def _recipe_positions(t: DivisorialType) -> list[int]:
+    """Columns of the canonical matrix that are not standard basis
+    vectors: the divisors that take part in the recipe."""
+    mat = t.canonical
+    out = []
+    for j in range(mat.cols):
+        col = tuple(mat.entries[i][j] for i in range(mat.rows))
+        unit = tuple(1 if i == j else 0 for i in range(mat.rows))
+        if col != unit:
+            out.append(j)
+    return out
+
+
 def recipe_fan(t: DivisorialType, labels):
     """Stacky fan of the single cone presenting a divisorial type.
 
@@ -730,12 +699,7 @@ def recipe_fan(t: DivisorialType, labels):
     with beta(rho_i) the i-th column of C transposed.  Returns the fan
     and the recipe-ray to label correspondence."""
     mat = t.canonical
-    positions = []
-    for j in range(mat.cols):
-        col = tuple(mat.entries[i][j] for i in range(mat.rows))
-        unit = tuple(1 if i == j else 0 for i in range(mat.rows))
-        if col != unit:
-            positions.append(j)
+    positions = _recipe_positions(t)
     k = len(positions)
     if k == 0:
         raise EmptyType("all components are independent")
@@ -785,17 +749,6 @@ def _replay_root(run: _Run, label_weights) -> None:
                labels=tuple(sorted(label_weights)))
 
 
-def _participating_positions(t: DivisorialType) -> list[int]:
-    mat = t.canonical
-    out = []
-    for j in range(mat.cols):
-        col = tuple(mat.entries[i][j] for i in range(mat.rows))
-        unit = tuple(1 if i == j else 0 for i in range(mat.rows))
-        if col != unit:
-            out.append(j)
-    return out
-
-
 def _run_destackify(run: _Run) -> None:
     _check_divisorial(run.fan)
     run.fan = run.fan.forget_distinguished()
@@ -816,13 +769,14 @@ def _run_destackify(run: _Run) -> None:
 
         # Blow up the locus; the exceptional divisor is distinguished.
         t = value.divisorial_type
-        positions = _participating_positions(t)
-        part_labels = [run.fan.divisors[p] for p in positions]
+        part_labels = [run.fan.divisors[p] for p in _recipe_positions(t)]
         label = run.alloc.fresh()
         _star_at(run, centres, label, distinguished=True)
 
         # Build the recipe, subdivide it the same way, resolve it, and
-        # replay its steps through the label correspondence.
+        # replay its steps through the label correspondence.  A recipe
+        # ray keeps the label it was born with, so the final recipe
+        # fan's labels name the rays of every recipe step.
         rfan, _ = recipe_fan(t, part_labels)
         if rfan.n_rays == 1:
             # Trivial subdivision: in the chart dominated by the
@@ -838,19 +792,14 @@ def _run_destackify(run: _Run) -> None:
         recipe.count = run.count
         _run_algorithm_a(recipe)
         run.count = recipe.count
-        state = rfan
+        names = recipe.fan.labels
         for step in recipe.steps:
             if step.kind == "star":
                 (centre,) = step.centres
-                names = [state.labels[i] for i in centre]
-                _replay_star(run, names, step.exceptional)
-                sub, eps = state.stacky_star_subdivision(frozenset(centre))
-                state = sub.with_ray_label(eps, step.exceptional,
-                                           distinguished=True)
+                _replay_star(run, [names[i] for i in centre],
+                             step.exceptional)
             else:
-                names = [(state.labels[i], w) for i, w in step.rays]
-                _replay_root(run, names)
-                state = state.root_construction(dict(step.rays))
+                _replay_root(run, [(names[i], w) for i, w in step.rays])
 
         # Clean up the divisorial index along the distinguished divisors,
         # then forget them.

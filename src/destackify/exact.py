@@ -107,11 +107,6 @@ class IntMatrix:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.col(j) for j in range(self.cols))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix dimension mismatch")

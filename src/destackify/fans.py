@@ -5,7 +5,7 @@ order), a set of simplicial cones given as ray-index sets, an ordered
 list of divisor labels (oldest first), a partial labeling of rays by
 divisors, and a set of distinguished labels.  The two stacky
 modifications (star subdivision and root construction) return new fans;
-nothing here mutates.
+no fan is mutated, only memo tables (see `StackyFan`).
 
 Cones are ray-index frozensets.  The tie-break order on cones compares
 the index sets sorted descending, lexicographically, so younger rays
@@ -96,6 +96,23 @@ def cone_key(cone) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StackyFan:
+    """A stacky fan.  `_cache` memoises per instance (faces, and the
+    parallelotope and chart group of a ray-index set).
+
+    `_lineage` is one memo shared with every fan derived by star
+    subdivision, root construction, `with_ray_label` and
+    `forget_distinguished`; any other construction starts a new one.
+    Stars append rays and roots scale beta, so the primitive generator
+    of a ray never changes.  Every key carries all its value depends
+    on, and no entry is ever invalidated:
+    - `("mult", gens)` and `("relint", gens)`: multiplicity, and whether
+      a Box point lies in the relative interior, of the cone on the
+      sorted primitive generators `gens`;
+    - `("cand", rays)`: Algorithm A's candidates at a cone, `rays`
+      giving (index, beta, distinguished) per ray; beta is the stacky
+      multiple times the primitive generator.
+    """
+
     rank: int
     rays: tuple[Ray, ...]
     maximal_cones: tuple[frozenset[int], ...]
@@ -104,6 +121,8 @@ class StackyFan:
     distinguished: frozenset[str] = frozenset()
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False, hash=False)
+    _lineage: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False, hash=False)
 
     def __post_init__(self) -> None:
         rays = tuple(r if isinstance(r, Ray) else Ray(tuple(r)) for r in self.rays)
@@ -149,10 +168,6 @@ class StackyFan:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    @property
-    def label_of(self) -> dict[int, str]:
-        return {i: lab for i, lab in enumerate(self.labels) if lab is not None}
-
     def rays_of_label(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, lab in enumerate(self.labels) if lab == label)
 
@@ -193,15 +208,29 @@ class StackyFan:
     # multiplicities and parallelotopes
 
     def multiplicity(self, cone) -> int:
-        c = self._coerce_cone(cone)
-        key = ("mult", c)
-        if key not in self._cache:
-            if not c:
-                self._cache[key] = 1
-            else:
-                snf = smith_normal_form(self.beta_matrix(c, primitive=True))
-                self._cache[key] = math.prod(snf.diagonal)
-        return self._cache[key]
+        return self._multiplicity(self._coerce_cone(cone))
+
+    # The routes below skip validation: callers pass cones of the fan.
+
+    def _generators(self, c) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(self.rays[i].primitive for i in c))
+
+    def _multiplicity(self, c) -> int:
+        key = ("mult", self._generators(c))
+        v = self._lineage.get(key)
+        if v is None:
+            v = math.prod(smith_normal_form(
+                self.beta_matrix(c, primitive=True)).diagonal) if c else 1
+            self._lineage[key] = v
+        return v
+
+    def _has_relint(self, c: frozenset[int]) -> bool:
+        key = ("relint", self._generators(c))
+        v = self._lineage.get(key)
+        if v is None:
+            v = self._lineage[key] = any(
+                all(x > 0 for x in lam) for _, lam in self._parallelotope(c))
+        return v
 
     def _parallelotope(self, c: frozenset[int]):
         """All lattice points of the half-open parallelotope on the
@@ -233,7 +262,9 @@ class StackyFan:
             for row in range(self.rank):
                 s = sum(lam[i] * m.entries[row][i] for i in range(k))
                 point.append(s)
-            assert all(x.denominator == 1 for x in map(Fraction, point))
+            if any(x.denominator != 1 for x in point):
+                raise FanError(f"non-integral parallelotope point {point} "
+                               f"at cone {idx}")
             pts.append((tuple(int(x) for x in point), tuple(lam)))
         pts.sort(key=lambda pl: pl[0])
         out = tuple(pts)
@@ -312,14 +343,9 @@ class StackyFan:
                     new_cones.append((m - {rho}) | {eps})
             else:
                 new_cones.append(m)
-        fan = StackyFan(
-            rank=self.rank,
-            rays=self.rays + (Ray(eps_beta),),
-            maximal_cones=tuple(frozenset(x) for x in new_cones),
-            labels=self.labels + (None,),
-            divisors=self.divisors,
-            distinguished=self.distinguished,
-        )
+        fan = self._derive(rays=self.rays + (Ray(eps_beta),),
+                           maximal_cones=tuple(new_cones),
+                           labels=self.labels + (None,))
         return fan, eps
 
     def root_construction(self, weights: dict[int, int]) -> "StackyFan":
@@ -337,7 +363,7 @@ class StackyFan:
         rooted_labels = {self.labels[i] for i in weights if self.labels[i] is not None}
         divisors = tuple(lab for lab in self.divisors if lab not in rooted_labels) + \
             tuple(lab for lab in self.divisors if lab in rooted_labels)
-        return replace(self, rays=tuple(rays), divisors=divisors)
+        return self._derive(rays=tuple(rays), divisors=divisors)
 
     def with_ray_label(self, ray: int, label: str,
                        distinguished: bool = False) -> "StackyFan":
@@ -352,11 +378,17 @@ class StackyFan:
         divisors = self.divisors if label in self.divisors \
             else self.divisors + (label,)
         dist = self.distinguished | {label} if distinguished else self.distinguished
-        return replace(self, labels=tuple(labels), divisors=divisors,
-                       distinguished=dist)
+        return self._derive(labels=tuple(labels), divisors=divisors,
+                            distinguished=dist)
 
     def forget_distinguished(self) -> "StackyFan":
-        return replace(self, distinguished=frozenset())
+        return self._derive(distinguished=frozenset())
+
+    def _derive(self, **changes) -> "StackyFan":
+        """`dataclasses.replace` that keeps this fan's lineage cache."""
+        fan = replace(self, **changes)
+        object.__setattr__(fan, "_lineage", self._lineage)
+        return fan
 
     def subfan(self, cones) -> "StackyFan":
         """Restrict to a subset of cones, retaining the global ray list
@@ -539,11 +571,13 @@ class StackyFan:
         if not isinstance(doc, dict):
             raise FanFormatError("fan document must be an object")
         try:
-            rank = int(doc["rank"])
+            rank = doc["rank"]
             rays_doc = doc["rays"]
             cones_doc = doc["maximal_cones"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FanFormatError(f"missing or malformed field: {exc}") from exc
+        except KeyError as exc:
+            raise FanFormatError(f"missing field: {exc}") from exc
+        if not _is_int(rank):
+            raise FanFormatError("rank must be an integer")
         if not isinstance(rays_doc, list) or not isinstance(cones_doc, list):
             raise FanFormatError("rays and maximal_cones must be lists")
         rays = []
@@ -552,8 +586,7 @@ class StackyFan:
             if not isinstance(entry, dict) or "beta" not in entry:
                 raise FanFormatError("each ray needs a beta field")
             beta = entry["beta"]
-            if not isinstance(beta, list) or \
-                    not all(isinstance(x, int) for x in beta):
+            if not isinstance(beta, list) or not all(map(_is_int, beta)):
                 raise FanFormatError("beta must be a list of integers")
             rays.append(Ray(tuple(beta)))
             lab = entry.get("label")
@@ -562,7 +595,7 @@ class StackyFan:
             labels.append(lab)
         cones = []
         for c in cones_doc:
-            if not isinstance(c, list) or not all(isinstance(i, int) for i in c):
+            if not isinstance(c, list) or not all(map(_is_int, c)):
                 raise FanFormatError("each maximal cone must be a list of ray indices")
             for i in c:
                 if not 0 <= i < len(rays):
@@ -581,6 +614,11 @@ class StackyFan:
         return cls(rank=rank, rays=tuple(rays), maximal_cones=tuple(cones),
                    labels=tuple(labels), divisors=divisors,
                    distinguished=frozenset(distinguished))
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _solve_fractions(columns, target, nrows):

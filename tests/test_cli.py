@@ -180,6 +180,14 @@ class TestRun:
         assert main(["--input", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_boolean_beta_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(dict(MU5_DOC, rays=[
+            {"beta": [True, False], "label": "E1"},
+            {"beta": [0, 1], "label": "E2"}])))
+        assert main(["--input", str(path), "--algorithm", "B"]) == 1
+        assert "integers" in capsys.readouterr().err
+
     def test_deterministic_traces(self, tmp_path):
         path = write_fan(tmp_path, klein_fan())
         t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -526,3 +526,16 @@ class TestSerialisation:
             StackyFan.from_doc(bad)
         with pytest.raises(FanFormatError):
             StackyFan.from_doc([1, 2, 3])
+        # JSON booleans, floats and strings are not coerced to integers.
+        for rank in (2.9, 2.0, "2", True):
+            bad = dict(good, rank=rank)
+            with pytest.raises(FanFormatError):
+                StackyFan.from_doc(bad)
+        for beta in ([True, False], [5.0, 2], ["5", 2]):
+            bad = dict(good, rays=[{"beta": beta}, good["rays"][1]])
+            with pytest.raises(FanFormatError):
+                StackyFan.from_doc(bad)
+        for cone in ([True, 1], [0.0, 1], ["0", 1]):
+            bad = dict(good, maximal_cones=[cone])
+            with pytest.raises(FanFormatError):
+                StackyFan.from_doc(bad)
