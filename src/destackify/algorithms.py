@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .conormal import (
@@ -173,6 +173,9 @@ class BlowupSequence:
 
 @dataclass(frozen=True)
 class RunLimits:
+    """`max_steps` bounds every sequence a run builds on its own: the
+    run's sequence and each nested recipe run's sequence."""
+
     max_steps: int = 10_000
     snapshots: bool = False
 
@@ -181,7 +184,7 @@ class RunLimits:
             raise ValueError("max_steps must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AggregateInvariant:
     """Independency index, toroidal index and divisorial type, compared
     lexicographically in that order."""
@@ -189,21 +192,6 @@ class AggregateInvariant:
     independency: int
     toroidal: int
     divisorial_type: DivisorialType
-
-    def _key(self):
-        return (self.independency, self.toroidal, self.divisorial_type)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
 
 
 @dataclass(frozen=True)
@@ -246,14 +234,11 @@ class _LabelAllocator:
                 self._taken.add(name)
                 return name
 
-    def reserve(self, name: str) -> None:
-        self._taken.add(name)
-
 
 class _Run:
     """Mutable state of one algorithm run: the evolving fan, the recorded
-    steps, the step budget shared with any nested runs, and the star
-    events Algorithm A has not yet folded into its worklist.
+    steps, the step budget, and the star events Algorithm A has not yet
+    folded into its worklist.
 
     What a run reuses across steps (multiplicities, Box-point tests,
     Algorithm A's candidates) lives in the lineage cache that the fans
@@ -267,18 +252,13 @@ class _Run:
         self.alloc = alloc if alloc is not None else \
             _LabelAllocator(fan.divisors)
         self.steps: list[BlowupStep] = []
-        self.count = 0
         self.star_events: list[tuple[frozenset[int], int]] = []
 
-    def charge(self) -> None:
-        self.count += 1
-        if self.count > self.limits.max_steps:
+    def record(self, **kw) -> None:
+        if len(self.steps) >= self.limits.max_steps:
             raise StepLimitExceeded(
                 f"exceeded {self.limits.max_steps} steps",
                 self.sequence())
-
-    def record(self, **kw) -> None:
-        self.charge()
         snap = self.fan.to_doc() if self.limits.snapshots else None
         self.steps.append(
             BlowupStep(index=len(self.steps), snapshot=snap, **kw))
@@ -349,7 +329,8 @@ def _distinguished_rays(fan: StackyFan, cone=None):
 def _star_at(run: _Run, centres, label: str, *, distinguished: bool,
              psi=None) -> list[int]:
     """Star subdivide at each centre in order, all exceptional rays
-    sharing one fresh label.  Returns the exceptional ray indices."""
+    sharing one label; a one-ray centre is a trivial blow-up whose
+    ray moves to the label.  Returns the exceptional ray indices."""
     eps_rays = []
     for c in centres:
         centre = frozenset(c)
@@ -718,35 +699,44 @@ def recipe_fan(t: DivisorialType, labels):
     return fan, {i: labels[i] for i in range(k)}
 
 
-def _replay_star(run: _Run, labels, exceptional: str) -> None:
-    """Star subdivide every cone made of exactly one ray per label, all
-    exceptional rays sharing the recipe's fresh label."""
-    want = frozenset(labels)
-    matched = []
-    for c in run.fan.cones():
-        if len(c) != len(want):
+def _replay(run: _Run, steps, image) -> None:
+    """Apply another run's steps to `run.fan` through a ray
+    correspondence.
+
+    `image` maps each ray of the source run's initial fan to the rays
+    of `run.fan` that stand for it, and grows as the source's
+    exceptional rays are born.  A star centre becomes every cone of the
+    fan that takes one image ray per centre ray, starred in `cone_key`
+    order under the step's label, which is distinguished; a root weight
+    goes to every image ray.  Steps left with nothing to act on are
+    dropped."""
+    for step in steps:
+        if step.kind == "root":
+            weights = {j: w for i, w in step.rays for j in image[i]}
+            if weights:
+                run.fan = run.fan.root_construction(weights)
+                run.record(kind="root", rays=tuple(sorted(weights.items())),
+                           labels=step.labels)
             continue
-        got = [run.fan.labels[i] for i in c]
-        if None not in got and frozenset(got) == want:
-            matched.append(c)
-    if not matched:
-        return
-    matched.sort(key=cone_key)
-    run.alloc.reserve(exceptional)
-    _star_at(run, matched, exceptional, distinguished=True)
-
-
-def _replay_root(run: _Run, label_weights) -> None:
-    weights = {}
-    for label, w in label_weights:
-        for i in run.fan.rays_of_label(label):
-            weights[i] = w
-    if not weights:
-        return
-    run.fan = run.fan.root_construction(weights)
-    run.record(kind="root",
-               rays=tuple(sorted(weights.items())),
-               labels=tuple(sorted(label_weights)))
+        # A one-ray centre is its own exceptional ray; a larger one gives
+        # birth to the source's next ray.
+        born = {}
+        for centre in step.centres:
+            source = centre[0]
+            if len(centre) > 1:
+                source = len(image)
+                image[source] = []
+            for rays in itertools.product(*(image[i] for i in centre)):
+                cone = frozenset(rays)
+                if len(cone) == len(centre) and run.fan.has_cone(cone):
+                    born[cone] = source
+        if not born:
+            continue
+        cones = sorted(born, key=cone_key)
+        eps = _star_at(run, cones, step.exceptional, distinguished=True)
+        for cone, e in zip(cones, eps):
+            if len(cone) > 1:
+                image[born[cone]].append(e)
 
 
 def _run_destackify(run: _Run) -> None:
@@ -774,9 +764,8 @@ def _run_destackify(run: _Run) -> None:
         _star_at(run, centres, label, distinguished=True)
 
         # Build the recipe, subdivide it the same way, resolve it, and
-        # replay its steps through the label correspondence.  A recipe
-        # ray keeps the label it was born with, so the final recipe
-        # fan's labels name the rays of every recipe step.
+        # replay its steps through the label correspondence: each ray of
+        # the subdivided recipe stands for the rays carrying its label.
         rfan, _ = recipe_fan(t, part_labels)
         if rfan.n_rays == 1:
             # Trivial subdivision: in the chart dominated by the
@@ -789,17 +778,13 @@ def _run_destackify(run: _Run) -> None:
                 frozenset(range(rfan.n_rays)))
             rfan = rfan.with_ray_label(reps, label, distinguished=True)
         recipe = _Run(rfan, run.limits, run.alloc)
-        recipe.count = run.count
-        _run_algorithm_a(recipe)
-        run.count = recipe.count
-        names = recipe.fan.labels
-        for step in recipe.steps:
-            if step.kind == "star":
-                (centre,) = step.centres
-                _replay_star(run, [names[i] for i in centre],
-                             step.exceptional)
-            else:
-                _replay_root(run, [(names[i], w) for i, w in step.rays])
+        try:
+            _run_algorithm_a(recipe)
+        except StepLimitExceeded as err:
+            raise StepLimitExceeded(f"recipe {err}", run.sequence()) from err
+        _replay(run, recipe.steps,
+                {i: run.fan.rays_of_label(lab)
+                 for i, lab in enumerate(rfan.labels)})
 
         # Clean up the divisorial index along the distinguished divisors,
         # then forget them.
@@ -825,18 +810,11 @@ def destackify(fan: StackyFan, limits: RunLimits | None = None
 # component splitting and certification
 
 
-def _ray_order(fan: StackyFan, ray: int, label: str) -> int:
-    """Relative generic order of a label at one of its rays; constant
-    over the cones containing the ray."""
-    orders = set()
-    for c in fan.cones():
-        if ray in c:
-            orders.add(relative_generic_order(conormal_at(fan, c), label))
-    if len(orders) != 1:
-        raise PostconditionError(
-            f"relative generic order varies over the star of ray {ray}: "
-            f"{sorted(orders)}")
-    return orders.pop()
+def _generic_orders(fan: StackyFan, label: str, rays) -> set[int]:
+    """Relative generic orders of a label over the cones meeting `rays`."""
+    rays = frozenset(rays)
+    return {relative_generic_order(conormal_at(fan, c), label)
+            for c in fan.cones() if not rays.isdisjoint(c)}
 
 
 def split_components(fan: StackyFan, limits: RunLimits | None = None
@@ -854,20 +832,16 @@ def split_components(fan: StackyFan, limits: RunLimits | None = None
             continue
         by_order: dict[int, list[int]] = {}
         for r in rays:
-            by_order.setdefault(_ray_order(run.fan, r, label), []).append(r)
-        if len(by_order) == 1:
-            continue
+            # Constant over the cones containing the ray.
+            orders = _generic_orders(run.fan, label, (r,))
+            if len(orders) != 1:
+                raise PostconditionError(
+                    f"relative generic order varies over the star of ray "
+                    f"{r}: {sorted(orders)}")
+            by_order.setdefault(orders.pop(), []).append(r)
         for order in sorted(by_order)[1:]:
-            part = sorted(by_order[order])
-            fresh = run.alloc.fresh()
-            labels = list(run.fan.labels)
-            for r in part:
-                labels[r] = fresh
-            run.fan = replace(run.fan, labels=tuple(labels),
-                              divisors=run.fan.divisors + (fresh,))
-            run.record(kind="star",
-                       centres=tuple((r,) for r in part),
-                       exceptional=fresh)
+            _star_at(run, [(r,) for r in sorted(by_order[order])],
+                     run.alloc.fresh(), distinguished=False)
     return run.sequence(), run.fan
 
 
@@ -912,10 +886,7 @@ def certify(fan: StackyFan) -> CertReport:
         rays = fan.rays_of_label(label)
         if not rays:
             continue
-        orders = set()
-        for c in fan.cones():
-            if any(fan.labels[i] == label for i in c):
-                orders.add(relative_generic_order(conormal_at(fan, c), label))
+        orders = _generic_orders(fan, label, rays)
         if len(orders) != 1:
             failures.append(
                 f"roots: {label} has non-constant relative generic order "
@@ -959,48 +930,16 @@ def restrict_steps(seq: BlowupSequence, sub: StackyFan
     """Restrict a blow-up sequence to a subfan of its initial fan,
     pruning the steps that become empty.
 
-    Centres survive when their translated ray set is a cone of the
-    evolving restricted fan; root constructions keep the rays present
-    in the restriction.  The returned steps use the restricted fan's
-    ray indices."""
+    Centres survive when they are cones of the evolving restricted fan;
+    root constructions keep the rays present in the restriction.  The
+    returned steps use the restricted fan's ray indices."""
     _require_subfan(seq.initial, sub)
-    ray_map = {i: i for i in range(seq.initial.n_rays)}
-    state = sub
-    full_count = seq.initial.n_rays
-    out: list[BlowupStep] = []
-    for step in seq.steps:
-        if step.kind == "star":
-            kept = []
-            for centre in step.centres:
-                if len(centre) >= 2:
-                    full_eps = full_count
-                    full_count += 1
-                else:
-                    full_eps = centre[0]
-                translated = [ray_map.get(i) for i in centre]
-                if None in translated:
-                    continue
-                t = frozenset(translated)
-                if not state.has_cone(t):
-                    continue
-                state, eps = state.stacky_star_subdivision(t)
-                ray_map[full_eps] = eps
-                kept.append(tuple(sorted(translated)))
-            if kept:
-                out.append(BlowupStep(
-                    index=len(out), kind="star",
-                    centres=tuple(kept), exceptional=step.exceptional))
-        else:
-            translated = {ray_map[i]: w for i, w in step.rays
-                          if i in ray_map}
-            present = {i: w for i, w in translated.items()
-                       if any(i in c for c in state.maximal_cones)}
-            if present:
-                state = state.root_construction(present)
-                out.append(BlowupStep(
-                    index=len(out), kind="root",
-                    rays=tuple(sorted(present.items()))))
-    return out
+    present = set().union(*sub.maximal_cones)
+    # The replay yields at most one step per step of `seq`.
+    run = _Run(sub, RunLimits(max_steps=len(seq.steps) + 1))
+    _replay(run, seq.steps,
+            {i: [i] if i in present else [] for i in range(sub.n_rays)})
+    return run.steps
 
 
 def restrict_and_compare(seq: BlowupSequence, sub: StackyFan,
@@ -1008,17 +947,7 @@ def restrict_and_compare(seq: BlowupSequence, sub: StackyFan,
     """True when the restriction of `seq` to the subfan equals `other`
     step by step: same kinds, same centres under the shared ray
     indexing, same root weights.  Labels are not compared."""
-    restricted = restrict_steps(seq, sub)
-    if len(restricted) != len(other.steps):
-        return False
-    for mine, theirs in zip(restricted, other.steps):
-        if mine.kind != theirs.kind:
-            return False
-        if mine.kind == "star":
-            if mine.centres != tuple(tuple(sorted(c))
-                                     for c in theirs.centres):
-                return False
-        else:
-            if mine.rays != theirs.rays:
-                return False
-    return True
+    def shape(steps):
+        return [(s.kind, s.centres, s.rays) for s in steps]
+
+    return shape(restrict_steps(seq, sub)) == shape(other.steps)

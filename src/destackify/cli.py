@@ -161,29 +161,30 @@ def run(config: RunConfig) -> int:
         "destackify": destackify,
     }.get(config.algorithm)
 
-    partial = None
+    stages = []
+    exhausted = False
     try:
         if runner is not None:
-            stages = [runner(fan, limits)]
+            stages.append(runner(fan, limits))
             final = stages[-1].final
         else:
-            stages = [divisorialify(fan, limits)]
+            stages.append(divisorialify(fan, limits))
             stages.append(destackify(stages[-1].final, limits))
             split_seq, final = split_components(stages[-1].final, limits)
             stages.append(split_seq)
     except StepLimitExceeded as err:
-        partial = err.sequence
+        # The finished stages stay in the trace, followed by the partial.
+        stages.append(err.sequence)
+        exhausted = True
         print(f"error: {err}", file=sys.stderr)
     except (AlgorithmError, FanError, ConormalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     if config.trace is not None:
-        docs = _renumbered(stages) if partial is None \
-            else _renumbered([partial])
         with open(config.trace, "w", encoding="utf-8") as handle:
-            emit_trace(docs, handle)
-    if partial is not None:
+            emit_trace(_renumbered(stages), handle)
+    if exhausted:
         return 2
 
     print(f"steps: {sum(len(s.steps) for s in stages)}", file=out)
@@ -212,7 +213,9 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", default=None,
                         help="write the blow-up trace to this path, one "
                              "JSON record per line")
-    parser.add_argument("--max-steps", type=int, default=10_000)
+    parser.add_argument("--max-steps", type=int, default=10_000,
+                        help="step budget of each sequence; in pipeline, "
+                             "of each stage on its own")
     parser.add_argument("--snapshots", action="store_true",
                         help="embed the full fan document in each record")
     parser.add_argument("--certify", action="store_true",

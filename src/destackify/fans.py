@@ -367,12 +367,12 @@ class StackyFan:
 
     def with_ray_label(self, ray: int, label: str,
                        distinguished: bool = False) -> "StackyFan":
-        """Attach a divisor label to an unlabeled ray, appending the
-        label as the youngest divisor if it is new."""
+        """Attach a divisor label to a ray, appending the label as the
+        youngest divisor if it is new.  A labeled ray moves to the new
+        label (the trivial blow-up at a ray); its old label stays a
+        divisor."""
         if not 0 <= ray < self.n_rays:
             raise UnknownRay(f"ray index {ray} out of range")
-        if self.labels[ray] is not None and self.labels[ray] != label:
-            raise ValueError(f"ray {ray} already labeled {self.labels[ray]}")
         labels = list(self.labels)
         labels[ray] = label
         divisors = self.divisors if label in self.divisors \

@@ -341,11 +341,20 @@ class TestDestackify:
             destackify(mu2_fan())
 
     def test_step_limit_carries_partial_sequence(self):
-        with pytest.raises(StepLimitExceeded) as exc:
-            destackify(mu5_fan(), RunLimits(max_steps=3))
-        partial = exc.value.sequence
-        assert isinstance(partial, BlowupSequence)
-        assert partial.kinds() == ("star", "star")
+        # Also when the budget runs out inside a recipe run, the partial
+        # sequence is the input's, cut short.
+        full = destackify(mu5_fan()).to_docs()
+        for budget in range(1, len(full)):
+            with pytest.raises(StepLimitExceeded) as exc:
+                destackify(mu5_fan(), RunLimits(max_steps=budget))
+            partial = exc.value.sequence
+            assert isinstance(partial, BlowupSequence)
+            assert partial.initial == mu5_fan()
+            docs = partial.to_docs()
+            assert docs == full[:len(docs)]
+
+    def test_replayed_steps_charged_once(self):
+        assert len(destackify(mu5_fan(), RunLimits(max_steps=8))) == 8
 
 
 class TestSplitComponents:
@@ -359,6 +368,10 @@ class TestSplitComponents:
         # The smallest order keeps the old label.
         assert out.labels == ("e1", "E")
         assert out.divisors == ("E", "e1")
+        # Restricted to its own fan, the sequence replays the relabel.
+        (step,) = restrict_steps(seq, f)
+        assert (step.kind, step.centres, step.exceptional) == \
+            ("star", ((0,),), "e1")
 
     def test_constant_order_unchanged(self):
         f = StackyFan(rank=2, rays=((2, 2), (2, 0)),
@@ -463,6 +476,20 @@ class TestFunctoriality:
                 continue
             assert restrict_and_compare(full, sub, direct)
             checked += 1
+
+    def test_random_divisorialify_subfans(self):
+        # Open immersions: multi-centre and one-ray steps both restrict.
+        rng = random.Random(3)
+        multi = one_ray = 0
+        for _ in range(40):
+            f = random_fan(rng)
+            sub = random_subfan(rng, f)
+            seq = divisorialify(f)
+            assert restrict_and_compare(seq, sub, divisorialify(sub))
+            for step in restrict_steps(seq, sub):
+                multi += len(step.centres) > 1
+                one_ray += any(len(c) == 1 for c in step.centres)
+        assert multi and one_ray
 
     def test_lattice_conjugation(self):
         rng = random.Random(7)

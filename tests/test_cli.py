@@ -14,7 +14,7 @@ from destackify.cli import (
     main,
     parse_fan,
 )
-from helpers import klein_fan, mu2_fan, mu5_fan
+from helpers import klein_fan, mu2_fan, mu5_fan, mu_fan
 
 
 MU5_DOC = {
@@ -141,6 +141,20 @@ class TestRun:
                      "--max-steps", "2", "--trace", str(trace)])
         assert code == 2
         assert len(trace.read_text().splitlines()) >= 1
+
+    def test_pipeline_partial_traces_are_prefixes(self, tmp_path):
+        path = write_fan(tmp_path, mu_fan(5, 2, labels=(None, None)))
+        full = tmp_path / "full.jsonl"
+        assert main(["--input", path, "--algorithm", "pipeline",
+                     "--trace", str(full)]) == 0
+        lines = full.read_text().splitlines()
+        for budget in range(1, 10):
+            trace = tmp_path / f"cut{budget}.jsonl"
+            code = main(["--input", path, "--algorithm", "pipeline",
+                         "--max-steps", str(budget), "--trace", str(trace)])
+            cut = trace.read_text().splitlines()
+            assert code in (0, 2)
+            assert cut == (lines if code == 0 else lines[:len(cut)])
 
     def test_validate_and_invariants(self, tmp_path, capsys):
         path = write_fan(tmp_path, mu5_fan())
