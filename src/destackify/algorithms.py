@@ -240,7 +240,7 @@ class _Run:
     steps, the step budget, and the star events Algorithm A has not yet
     folded into its worklist.
 
-    What a run reuses across steps (multiplicities, Box-point tests,
+    What a run reuses across steps (multiplicities, chart groups,
     Algorithm A's candidates) lives in the lineage cache that the fans
     of the run share; see `StackyFan`."""
 
@@ -254,14 +254,18 @@ class _Run:
         self.steps: list[BlowupStep] = []
         self.star_events: list[tuple[frozenset[int], int]] = []
 
-    def record(self, **kw) -> None:
+    def record(self, fan: StackyFan, **kw) -> None:
+        """Record a step whose result is `fan` and move the run to it.
+        The budget is tested first, so a run stopped by it ends at the
+        fan after its last recorded step."""
         if len(self.steps) >= self.limits.max_steps:
             raise StepLimitExceeded(
                 f"exceeded {self.limits.max_steps} steps",
                 self.sequence())
-        snap = self.fan.to_doc() if self.limits.snapshots else None
+        snap = fan.to_doc() if self.limits.snapshots else None
         self.steps.append(
             BlowupStep(index=len(self.steps), snapshot=snap, **kw))
+        self.fan = fan
 
     def sequence(self) -> BlowupSequence:
         return BlowupSequence(self.initial, tuple(self.steps), self.fan)
@@ -331,15 +335,16 @@ def _star_at(run: _Run, centres, label: str, *, distinguished: bool,
     """Star subdivide at each centre in order, all exceptional rays
     sharing one label; a one-ray centre is a trivial blow-up whose
     ray moves to the label.  Returns the exceptional ray indices."""
+    fan = run.fan
     eps_rays = []
     for c in centres:
         centre = frozenset(c)
-        fan, eps = run.fan.stacky_star_subdivision(centre)
-        run.fan = fan.with_ray_label(eps, label, distinguished=distinguished)
+        fan, eps = fan.stacky_star_subdivision(centre)
+        fan = fan.with_ray_label(eps, label, distinguished=distinguished)
         eps_rays.append(eps)
         if len(centre) > 1:
             run.star_events.append((centre, eps))
-    run.record(kind="star",
+    run.record(fan, kind="star",
                centres=tuple(tuple(sorted(c)) for c in centres),
                exceptional=label, psi=psi)
     return eps_rays
@@ -361,12 +366,12 @@ def _resolve_ray_sum(run: _Run, psi: FormalRaySum) -> None:
                    if psi.coefficient(i) > 1}
         if weights:
             pairs = psi.coefficients
-            run.fan = run.fan.root_construction(weights)
             coeffs = dict(psi.coefficients)
             for i in weights:
                 coeffs[i] = 1
             psi = FormalRaySum.from_dict(coeffs)
             run.record(
+                run.fan.root_construction(weights),
                 kind="root",
                 rays=tuple(sorted(weights.items())),
                 labels=tuple(sorted((run.fan.labels[i], w)
@@ -714,8 +719,8 @@ def _replay(run: _Run, steps, image) -> None:
         if step.kind == "root":
             weights = {j: w for i, w in step.rays for j in image[i]}
             if weights:
-                run.fan = run.fan.root_construction(weights)
-                run.record(kind="root", rays=tuple(sorted(weights.items())),
+                run.record(run.fan.root_construction(weights), kind="root",
+                           rays=tuple(sorted(weights.items())),
                            labels=step.labels)
             continue
         # A one-ray centre is its own exceptional ray; a larger one gives

@@ -65,7 +65,8 @@ class RunConfig:
 def parse_fan(text: str) -> StackyFan:
     """Parse and validate a fan document.
 
-    Raises json.JSONDecodeError on malformed text, FanFormatError on a
+    Raises ValueError (json.JSONDecodeError among them) or
+    RecursionError on text that json cannot read, FanFormatError on a
     well-formed document with the wrong shape, and ValidationFailure
     when the fan itself is inconsistent."""
     fan = StackyFan.from_doc(json.loads(text))
@@ -105,13 +106,19 @@ def _invariant_records(fan: StackyFan):
 def _cross_check(fan: StackyFan) -> None:
     # Second route for each invariant the run relied on: lattice-point
     # counting against the determinant, and the subgroup intersection
-    # test against the multiplicity quotient.
+    # test against the multiplicity quotient, and the relative-interior
+    # Box test against the points found there.
     for c in fan.cones():
         counted = len(fan.parallelotope_points(c))
         if counted != fan.multiplicity(c):
             raise AlgorithmError(
                 f"oracle: cone {sorted(c)} multiplicity "
                 f"{fan.multiplicity(c)} but {counted} lattice points")
+        interior = fan.parallelotope_points(c, relative_interior=True)
+        if fan._has_relint(c) != bool(interior):
+            raise AlgorithmError(
+                f"oracle: cone {sorted(c)} has {len(interior)} relative-"
+                f"interior lattice points but the Box test disagrees")
         cd = conormal_at(fan, c)
         idx = sorted(c)
         for pos, i in enumerate(idx):
@@ -128,13 +135,13 @@ def run(config: RunConfig) -> int:
     try:
         with open(config.input, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     try:
         fan = parse_fan(text)
-    except (json.JSONDecodeError, FanError, ValidationFailure) as err:
+    except (ValueError, RecursionError, FanError, ValidationFailure) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import (
-    FinAbGroup,
     IntMatrix,
     cokernel_of_rows,
     kernel_columns,
@@ -96,21 +95,22 @@ def cone_key(cone) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StackyFan:
-    """A stacky fan.  `_cache` memoises per instance (faces, and the
-    parallelotope and chart group of a ray-index set).
+    """A stacky fan.
 
-    `_lineage` is one memo shared with every fan derived by star
+    `_lineage` is its one memo, shared with every fan derived by star
     subdivision, root construction, `with_ray_label` and
     `forget_distinguished`; any other construction starts a new one.
-    Stars append rays and roots scale beta, so the primitive generator
-    of a ray never changes.  Every key carries all its value depends
-    on, and no entry is ever invalidated:
-    - `("mult", gens)` and `("relint", gens)`: multiplicity, and whether
-      a Box point lies in the relative interior, of the cone on the
-      sorted primitive generators `gens`;
+    Roots scale beta and stars append rays, so within a lineage a ray
+    index keeps its primitive generator: a star whose exceptional ray
+    would give an index a second generator (a second, different star of
+    the same fan) starts a new lineage.  No entry is ever invalidated:
+    - `("mult", c)`: the multiplicity of the cone on the ray-index set c;
+    - `("chart", betas)`: the chart group and weights of a cone whose
+      beta vectors, in ascending ray-index order, are `betas`;
     - `("cand", rays)`: Algorithm A's candidates at a cone, `rays`
-      giving (index, beta, distinguished) per ray; beta is the stacky
-      multiple times the primitive generator.
+      giving (index, beta, distinguished) per ray;
+    - `("ray", i)`: the primitive generator of the star-born ray i,
+      which keeps the lineage to one generator per index.
     """
 
     rank: int
@@ -119,8 +119,6 @@ class StackyFan:
     labels: tuple[str | None, ...] = None  # type: ignore[assignment]
     divisors: tuple[str, ...] = None  # type: ignore[assignment]
     distinguished: frozenset[str] = frozenset()
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False, hash=False)
     _lineage: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False, hash=False)
 
@@ -173,15 +171,12 @@ class StackyFan:
 
     def cones(self) -> tuple[frozenset[int], ...]:
         """Every face of every maximal cone, including the zero cone."""
-        if "cones" not in self._cache:
-            out = {frozenset()}
-            for c in self.maximal_cones:
-                idx = sorted(c)
-                for size in range(1, len(idx) + 1):
-                    for sub in itertools.combinations(idx, size):
-                        out.add(frozenset(sub))
-            self._cache["cones"] = tuple(sorted(out, key=lambda c: (len(c), cone_key(c))))
-        return self._cache["cones"]
+        out = {frozenset()}
+        for c in self.maximal_cones:
+            idx = sorted(c)
+            for size in range(1, len(idx) + 1):
+                out.update(map(frozenset, itertools.combinations(idx, size)))
+        return tuple(sorted(out, key=lambda c: (len(c), cone_key(c))))
 
     def has_cone(self, cone) -> bool:
         c = frozenset(cone)
@@ -212,11 +207,8 @@ class StackyFan:
 
     # The routes below skip validation: callers pass cones of the fan.
 
-    def _generators(self, c) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.rays[i].primitive for i in c))
-
     def _multiplicity(self, c) -> int:
-        key = ("mult", self._generators(c))
+        key = ("mult", c)
         v = self._lineage.get(key)
         if v is None:
             v = math.prod(smith_normal_form(
@@ -225,25 +217,22 @@ class StackyFan:
         return v
 
     def _has_relint(self, c: frozenset[int]) -> bool:
-        key = ("relint", self._generators(c))
-        v = self._lineage.get(key)
-        if v is None:
-            v = self._lineage[key] = any(
-                all(x > 0 for x in lam) for _, lam in self._parallelotope(c))
-        return v
+        """Whether a Box point lies in the cone's relative interior.  A
+        cone's Box is the disjoint union of its faces' relative-interior
+        Box points, so Moebius inversion of multiplicities counts them."""
+        idx = sorted(c)
+        return sum((-1) ** (len(idx) - r) * self._multiplicity(frozenset(f))
+                   for r in range(len(idx) + 1)
+                   for f in itertools.combinations(idx, r)) > 0
 
     def _parallelotope(self, c: frozenset[int]):
         """All lattice points of the half-open parallelotope on the
         primitive generators, each with its coordinate vector; the point
-        count equals the multiplicity."""
-        key = ("para", c)
-        if key in self._cache:
-            return self._cache[key]
+        count equals the multiplicity.  Enumerated on every call: only
+        the public routes and Algorithm A's uncached candidates ask."""
         idx = sorted(c)
         if not idx:
-            out = ((tuple(0 for _ in range(self.rank)), ()),)
-            self._cache[key] = out
-            return out
+            return ((tuple(0 for _ in range(self.rank)), ()),)
         m = self.beta_matrix(c, primitive=True)
         snf = smith_normal_form(m)
         diag = snf.diagonal
@@ -267,21 +256,15 @@ class StackyFan:
                                f"at cone {idx}")
             pts.append((tuple(int(x) for x in point), tuple(lam)))
         pts.sort(key=lambda pl: pl[0])
-        out = tuple(pts)
-        self._cache[key] = out
-        return out
+        return tuple(pts)
 
     def parallelotope_points(self, cone, relative_interior: bool = False):
-        c = self._coerce_cone(cone)
-        pts = self._parallelotope(c)
-        if relative_interior:
-            return tuple(p for p, lam in pts if all(x > 0 for x in lam))
-        return tuple(p for p, lam in pts)
+        return tuple(p for p, _ in
+                     self.parallelotope_lambdas(cone, relative_interior))
 
     def parallelotope_lambdas(self, cone, relative_interior: bool = False):
         """(point, coordinates over the primitive generators) pairs."""
-        c = self._coerce_cone(cone)
-        pts = self._parallelotope(c)
+        pts = self._parallelotope(self._coerce_cone(cone))
         if relative_interior:
             return tuple((p, lam) for p, lam in pts if all(x > 0 for x in lam))
         return pts
@@ -302,19 +285,16 @@ class StackyFan:
         ascending ray-index order, marks the divisor labels of the rays
         in the same order.
         """
-        c = self._coerce_cone(cone)
-        key = ("chart", c)
-        if key not in self._cache:
-            idx = sorted(c)
-            rows = []
-            for j in range(self.rank):
-                rows.append(tuple(self.rays[i].beta[j] for i in idx))
+        idx = sorted(self._coerce_cone(cone))
+        betas = tuple(self.rays[i].beta for i in idx)
+        key = ("chart", betas)
+        if key not in self._lineage:
+            rows = [tuple(b[j] for b in betas) for j in range(self.rank)]
             mat = IntMatrix.from_rows(rows, cols=len(idx)) if rows else \
                 IntMatrix.zeros(0, len(idx))
-            group, images = cokernel_of_rows(mat)
-            marks = tuple(self.labels[i] for i in idx)
-            self._cache[key] = (group, images, marks)
-        return self._cache[key]
+            self._lineage[key] = cokernel_of_rows(mat)
+        group, images = self._lineage[key]
+        return group, images, tuple(self.labels[i] for i in idx)
 
     # ------------------------------------------------------------------
     # modifications
@@ -346,6 +326,9 @@ class StackyFan:
         fan = self._derive(rays=self.rays + (Ray(eps_beta),),
                            maximal_cones=tuple(new_cones),
                            labels=self.labels + (None,))
+        prim = fan.rays[eps].primitive
+        if self._lineage.setdefault(("ray", eps), prim) != prim:
+            object.__setattr__(fan, "_lineage", {})
         return fan, eps
 
     def root_construction(self, weights: dict[int, int]) -> "StackyFan":
@@ -482,10 +465,13 @@ class StackyFan:
                     out.append(f"cones {sorted(c1)} and {sorted(c2)} "
                                "do not intersect in a common face")
 
-        span = IntMatrix.from_columns([self.rays[i].primitive for i in used],
-                                      rows=self.rank) if used else \
-            IntMatrix.zeros(self.rank, 0)
-        span_rank = sum(1 for d in smith_normal_form(span).diagonal if d)
+        # Fewer rays than the rank cannot span, and their SNF would still
+        # build a rank x rank transform.
+        span_rank = 0
+        if len(used) >= self.rank:
+            span = IntMatrix.from_columns(
+                [self.rays[i].primitive for i in used], rows=self.rank)
+            span_rank = sum(1 for d in smith_normal_form(span).diagonal if d)
         if span_rank != self.rank:
             out.append("the cones do not span the ambient space")
 

@@ -197,6 +197,30 @@ class TestAlgorithmB:
             checked += 1
 
 
+class TestLineageMemo:
+    def test_partial_fans_match_enumeration(self):
+        # Every cone of a fan reached through the lineage answers the
+        # relative-interior Box test as enumeration does, and its
+        # multiplicity as a fresh lineage on the same document does.
+        rng = random.Random(4711)
+        cones = nonempty = 0
+        for _ in range(30):
+            f = random_fan(rng)
+            try:
+                final = algorithm_b(f, RunLimits(max_steps=25)).final
+            except StepLimitExceeded as err:
+                final = err.sequence.final
+            fresh = StackyFan.from_doc(final.to_doc())
+            for c in final.cones():
+                interior = final.parallelotope_points(
+                    c, relative_interior=True)
+                assert final._has_relint(c) == bool(interior)
+                assert final._multiplicity(c) == fresh._multiplicity(c)
+                cones += 1
+                nonempty += bool(interior)
+        assert nonempty and cones > nonempty
+
+
 class TestMaxLocus:
     def test_mu5_independency(self):
         value, centres = max_locus(mu5_fan(), "independency")
@@ -342,16 +366,23 @@ class TestDestackify:
 
     def test_step_limit_carries_partial_sequence(self):
         # Also when the budget runs out inside a recipe run, the partial
-        # sequence is the input's, cut short.
-        full = destackify(mu5_fan()).to_docs()
-        for budget in range(1, len(full)):
-            with pytest.raises(StepLimitExceeded) as exc:
-                destackify(mu5_fan(), RunLimits(max_steps=budget))
-            partial = exc.value.sequence
-            assert isinstance(partial, BlowupSequence)
-            assert partial.initial == mu5_fan()
-            docs = partial.to_docs()
-            assert docs == full[:len(docs)]
+        # sequence is the input's, cut short, and it ends at the fan
+        # after its last recorded step.
+        for run, initial in ((destackify, mu5_fan()),
+                             (algorithm_b, cone_fan((17, 5), (0, 1)))):
+            full = run(initial, RunLimits(snapshots=True)).to_docs()
+            for budget in range(1, min(len(full), 40)):
+                with pytest.raises(StepLimitExceeded) as exc:
+                    run(initial, RunLimits(max_steps=budget, snapshots=True))
+                partial = exc.value.sequence
+                assert isinstance(partial, BlowupSequence)
+                assert partial.initial == initial
+                docs = partial.to_docs()
+                assert docs == full[:len(docs)]
+                final = partial.final.to_doc()
+                last = docs[-1]["snapshot"] if docs else initial.to_doc()
+                assert (final["rays"], final["maximal_cones"]) == \
+                    (last["rays"], last["maximal_cones"])
 
     def test_replayed_steps_charged_once(self):
         assert len(destackify(mu5_fan(), RunLimits(max_steps=8))) == 8

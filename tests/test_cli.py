@@ -3,8 +3,12 @@ and determinism."""
 
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from destackify import RunLimits, StackyFan, resolve_ray_sum
 from destackify.cli import (
@@ -184,6 +188,19 @@ class TestRun:
         assert main(["--input", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",                      # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,    # deeper than the recursion limit
+        b'{"rank": ' + b"9" * 5000 + b"}",  # past the int digit limit
+    ], ids=["not-utf8", "deep-nesting", "long-integer"])
+    @pytest.mark.parametrize("algorithm", ["validate", "B", "pipeline"])
+    def test_unreadable_text_exits_1(self, tmp_path, capsys, data,
+                                     algorithm):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["--input", str(path), "--algorithm", algorithm]) == 1
+        assert "error" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["--input", str(tmp_path / "absent.json")]) == 1
         assert "error" in capsys.readouterr().err
@@ -211,3 +228,52 @@ class TestRun:
         assert t1.read_bytes() == t2.read_bytes()
         first = json.loads(t1.read_text().splitlines()[0])
         assert "snapshot" in first and "rays" in first["snapshot"]
+
+
+FAN_KEYS = ("rank", "rays", "maximal_cones", "divisors", "distinguished",
+            "beta", "label")
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() |
+    st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FAN_KEYS) | st.text(max_size=3), inner,
+        max_size=5),
+    max_leaves=20)
+
+
+@st.composite
+def fan_docs(draw):
+    """Fan-shaped documents: betas of the stated rank, cones on small
+    index lists, so that most of them reach validation."""
+    rank = draw(st.integers(1, 3))
+    labels = st.none() | st.sampled_from("DE")
+    rays = draw(st.lists(st.fixed_dictionaries(
+        {"beta": st.lists(st.integers(-3, 3), min_size=rank,
+                          max_size=rank),
+         "label": labels}), max_size=5))
+    cones = draw(st.lists(st.lists(st.integers(0, 5), max_size=rank),
+                          max_size=4))
+    doc = {"rank": rank, "rays": rays, "maximal_cones": cones}
+    for key in ("divisors", "distinguished"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.lists(st.sampled_from("DE"), max_size=2))
+    return doc
+
+
+class TestFuzz:
+    """Whatever the input file holds, validation exits 0 or 1."""
+
+    @staticmethod
+    def exit_code(data: bytes) -> int:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fan.json"
+            path.write_bytes(data)
+            return main(["--input", str(path), "--algorithm", "validate"])
+
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        assert self.exit_code(data) in (0, 1)
+
+    @given(JSON_DOCS | fan_docs())
+    def test_arbitrary_documents(self, doc):
+        assert self.exit_code(json.dumps(doc).encode()) in (0, 1)

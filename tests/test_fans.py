@@ -108,6 +108,17 @@ class TestValidation:
                       labels=("D", None, "D"))
         assert f.validate().ok
 
+    def test_support_rank_bound_needs_no_snf(self, monkeypatch):
+        # Fewer used rays than the rank cannot span; deciding that must
+        # not build a rank x rank transform.
+        def refuse(m):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr("destackify.fans.smith_normal_form", refuse)
+        report = StackyFan(rank=3, rays=(), maximal_cones=()).validate()
+        assert report.violations == (
+            "the cones do not span the ambient space",)
+
     def test_duplicate_ray_direction(self):
         f = StackyFan(rank=2, rays=((1, 0), (0, 1), (2, 0)),
                       maximal_cones=(frozenset({0, 1}), frozenset({1, 2})))
@@ -223,6 +234,9 @@ class TestParallelotope:
                           maximal_cones=(frozenset(range(len(cols))),))
             got = sorted(f.parallelotope_points(frozenset(range(len(cols)))))
             assert got == box_scan_points(cols, rank)
+            for c in f.cones():
+                assert f._has_relint(c) == bool(
+                    f.parallelotope_points(c, relative_interior=True))
 
 
 class TestStarSubdivision:
@@ -242,6 +256,20 @@ class TestStarSubdivision:
         assert all(eps in c for c in sub.maximal_cones)
         assert sub.rays[eps].beta == (2, 2, 2)
         assert sub.validate().ok
+
+    def test_second_star_keeps_multiplicities(self):
+        # Two different stars of one fan both give birth to ray 3; the
+        # second must not read the first one's memo entries.
+        f = StackyFan(rank=2, rays=((1, 0), (1, 3), (-1, 2)),
+                      maximal_cones=(frozenset({0, 1}), frozenset({1, 2})))
+        g1, _ = f.stacky_star_subdivision({0, 1})
+        g2, _ = f.stacky_star_subdivision({1, 2})
+        for g in (g1, g2, g1):
+            fresh = StackyFan.from_doc(g.to_doc())
+            for c in g.cones():
+                assert g.multiplicity(c) == fresh.multiplicity(c)
+                assert g._has_relint(c) == fresh._has_relint(c)
+        assert g1.multiplicity({1, 3}) == 3 and g2.multiplicity({1, 3}) == 1
 
     def test_one_dim_is_trivial(self):
         f = mu5_fan()
