@@ -197,21 +197,20 @@ class AggregateInvariant:
 @dataclass(frozen=True)
 class CertReport:
     coarse_smooth: bool
-    coarse_snc: bool
     root_data: dict[str, int]
     gerbe_ok: bool
     failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.coarse_smooth and \
-            self.coarse_snc and self.gerbe_ok
+        return not self.failures and self.coarse_smooth and self.gerbe_ok
 
     def to_doc(self) -> dict:
         return {
             "pass": self.ok,
             "coarse_smooth": self.coarse_smooth,
-            "coarse_snc": self.coarse_snc,
+            # Smooth coarse fans have simple normal crossing boundary.
+            "coarse_snc": self.coarse_smooth,
             "root_data": dict(sorted(self.root_data.items())),
             "gerbe_ok": self.gerbe_ok,
             "failures": list(self.failures),
@@ -240,9 +239,9 @@ class _Run:
     steps, the step budget, and the star events Algorithm A has not yet
     folded into its worklist.
 
-    What a run reuses across steps (multiplicities, chart groups,
-    Algorithm A's candidates) lives in the lineage cache that the fans
-    of the run share; see `StackyFan`."""
+    What a run reuses across steps (multiplicities, chart groups) lives
+    in the lineage cache that the fans of the run share; see
+    `StackyFan`.  Algorithm A's candidates live for one A run."""
 
     def __init__(self, fan: StackyFan, limits: RunLimits,
                  alloc: _LabelAllocator | None = None):
@@ -413,15 +412,17 @@ def resolve_ray_sum(fan: StackyFan, psi, limits: RunLimits | None = None
     return run.sequence()
 
 
-def _a_candidates(fan: StackyFan, cone) -> tuple[FormalRaySum, ...]:
+def _a_candidates(fan: StackyFan, cone, memo: dict
+                  ) -> tuple[FormalRaySum, ...]:
     """Minimal integer formal sums whose beta image lies on the ray
     through a nonzero lattice point of the cone's parallelotope and
-    whose support meets the distinguished locus.  Memoised in the fan's
-    lineage cache under the `"cand"` key described on `StackyFan`."""
+    whose support meets the distinguished locus.  Memoised in `memo`,
+    which lives for one Algorithm A run, by (index, beta,
+    distinguished) per ray of the cone."""
     idx = sorted(cone)
     dist = _distinguished_rays(fan, idx)
-    key = ("cand", tuple((i, fan.rays[i].beta, i in dist) for i in idx))
-    cached = fan._lineage.get(key)
+    key = tuple((i, fan.rays[i].beta, i in dist) for i in idx)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     out = {}
@@ -438,7 +439,7 @@ def _a_candidates(fan: StackyFan, cone) -> tuple[FormalRaySum, ...]:
             (i, c) for i, c in zip(idx, coeffs) if c))
         if not psi.support.isdisjoint(dist):
             out[psi.coefficients] = psi
-    cached = fan._lineage[key] = tuple(out.values())
+    cached = memo[key] = tuple(out.values())
     return cached
 
 
@@ -464,13 +465,14 @@ def _select_psi(candidates: list[FormalRaySum]) -> FormalRaySum:
 
 def _run_algorithm_a(run: _Run) -> None:
     worklist = {c: _a_key(run.fan, c) for c in _a_worklist(run.fan)}
+    memo: dict = {}
     while worklist:
         run.star_events.clear()
         top = max(worklist.values())
         s_max = [c for c, k in worklist.items() if k == top]
         candidates = []
         for c in s_max:
-            candidates.extend(_a_candidates(run.fan, c))
+            candidates.extend(_a_candidates(run.fan, c, memo))
         if not candidates:
             raise PostconditionError(
                 "no admissible candidate at a nonempty worklist")
@@ -502,8 +504,7 @@ def _run_algorithm_a(run: _Run) -> None:
     fan = run.fan
     for c in fan.cones():
         for i in _distinguished_rays(fan, c):
-            mc = fan._multiplicity(c)
-            if len(c) > 1 and fan._multiplicity(c - {i}) != mc:
+            if not fan._independent_at(c, i):
                 raise PostconditionError(
                     f"distinguished ray {i} not independent in {sorted(c)}")
 
@@ -526,10 +527,8 @@ def _run_algorithm_b(run: _Run) -> None:
         fan = run.fan
         worklist = []
         for c in fan.cones():
-            if len(c) < 2:
-                continue
-            mc = fan._multiplicity(c)
-            if all(fan._multiplicity(c - {i}) != mc for i in c):
+            if len(c) >= 2 and \
+                    not any(fan._independent_at(c, i) for i in c):
                 worklist.append(c)
         if not worklist:
             break
@@ -793,7 +792,6 @@ def _run_destackify(run: _Run) -> None:
 
         # Clean up the divisorial index along the distinguished divisors,
         # then forget them.
-        _check_divisorial(run.fan)
         _run_along(run)
         run.fan = run.fan.forget_distinguished()
     for c in run.fan.cones():
@@ -863,7 +861,6 @@ def certify(fan: StackyFan) -> CertReport:
             coarse_smooth = False
             failures.append(
                 f"coarse: cone {sorted(c)} has multiplicity {m}")
-    coarse_snc = coarse_smooth
 
     gerbe_ok = True
     for c in fan.cones():
@@ -910,7 +907,6 @@ def certify(fan: StackyFan) -> CertReport:
         root_data = {}
     return CertReport(
         coarse_smooth=coarse_smooth,
-        coarse_snc=coarse_snc,
         root_data=root_data,
         gerbe_ok=gerbe_ok,
         failures=tuple(failures),

@@ -25,7 +25,6 @@ from .algorithms import (
 )
 from .conormal import (
     ConormalError,
-    _is_independent,
     conormal_at,
     divisorial_index,
     independency_index,
@@ -119,12 +118,9 @@ def _cross_check(fan: StackyFan) -> None:
             raise AlgorithmError(
                 f"oracle: cone {sorted(c)} has {len(interior)} relative-"
                 f"interior lattice points but the Box test disagrees")
-        cd = conormal_at(fan, c)
-        idx = sorted(c)
-        for pos, i in enumerate(idx):
-            mult_route = fan.independent_at(c, i)
-            group_route = _is_independent(cd, pos)
-            if mult_route != group_route:
+        group_routes = conormal_at(fan, c).independent
+        for i, group_route in zip(sorted(c), group_routes):
+            if fan.independent_at(c, i) != group_route:
                 raise AlgorithmError(
                     f"oracle: independence of ray {i} in {sorted(c)} "
                     f"disagrees between routes")

@@ -20,16 +20,16 @@ compare natural numbers and divisorial types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from itertools import product
 
 from .exact import (
     FinAbGroup,
     IntMatrix,
-    canonical_presentation,
+    NotFinite,
     intersect_subgroups,
     quotient_by,
-    subgroup_as_group,
+    relation_lattice,
     subgroup_generated,
 )
 from .fans import StackyFan
@@ -102,6 +102,20 @@ class ConormalData:
     def residual_weights(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.weight for c in self.components if c.mark is None)
 
+    @cached_property
+    def independent(self) -> tuple[bool, ...]:
+        """Per component: whether its cyclic subgroup meets the subgroup
+        generated by all other components trivially; weight zero is
+        always independent."""
+        zero = self.group.zero()
+        ws = [c.weight for c in self.components]
+        return tuple(
+            w == zero or intersect_subgroups(
+                subgroup_generated(self.group, [w]),
+                subgroup_generated(self.group, ws[:i] + ws[i + 1:]),
+            ).is_trivial
+            for i, w in enumerate(ws))
+
 
 def conormal_at(fan: StackyFan, cone) -> ConormalData:
     """Conormal data of the chart at a cone of the fan."""
@@ -113,22 +127,8 @@ def conormal_at(fan: StackyFan, cone) -> ConormalData:
 # ----------------------------------------------------------------------
 # numeric invariants
 
-def _is_independent(cd: ConormalData, i: int) -> bool:
-    """A component is independent when its cyclic subgroup meets the
-    subgroup generated by all other components trivially; weight zero
-    is always independent."""
-    w = cd.components[i].weight
-    if w == cd.group.zero():
-        return True
-    own = subgroup_generated(cd.group, [w])
-    rest = subgroup_generated(
-        cd.group, [c.weight for j, c in enumerate(cd.components) if j != i])
-    return intersect_subgroups(own, rest).is_trivial
-
-
 def independency_index(cd: ConormalData) -> int:
-    return sum(1 for i in range(len(cd.components))
-               if not _is_independent(cd, i))
+    return cd.independent.count(False)
 
 
 def toroidal_index(cd: ConormalData) -> int:
@@ -156,13 +156,12 @@ def divisorial_index_along(cd: ConormalData, label: str) -> int:
     if not is_divisorial(cd):
         raise NotDivisorial("divisorial index along a divisor needs "
                             "divisorial data")
+    span = relative_generic_order(cd, label)
     a_i = cd.weight_of(label)
     others = subgroup_generated(
         cd.group,
         [c.weight for c in cd.components
          if c.mark is not None and c.mark != label])
-    a_div = subgroup_generated(cd.group, cd.marked_weights())
-    span = a_div.order() // others.order()
     total = 0
     for w in cd.residual_weights():
         for c in range(span):
@@ -251,19 +250,23 @@ def divisorial_type(cd: ConormalData) -> DivisorialType:
     The defining tuple has one entry per ambient label: the weight of
     the component marked with that label when that component is not
     independent, and zero otherwise.  The type is the canonical
-    presentation of the subgroup these entries generate.
+    presentation of the subgroup these entries generate: the column
+    Hermite form of the lattice of relations among them, which must
+    have full rank.
     """
     by_mark = {c.mark: i for i, c in enumerate(cd.components)
                if c.mark is not None}
     b = []
     for lab in cd.ambient:
         i = by_mark.get(lab)
-        if i is not None and not _is_independent(cd, i):
+        if i is not None and not cd.independent[i]:
             b.append(cd.components[i].weight)
         else:
             b.append(cd.group.zero())
-    sub, images = subgroup_as_group(cd.group, b)
-    return DivisorialType(canonical_presentation(sub, images))
+    rel = relation_lattice(cd.group, b)
+    if rel.cols < len(b):
+        raise NotFinite("the divisorial entries generate an infinite group")
+    return DivisorialType(rel)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .exact import (
     IntMatrix,
     cokernel_of_rows,
+    hnf_columns,
     kernel_columns,
     smith_normal_form,
 )
@@ -107,8 +108,6 @@ class StackyFan:
     - `("mult", c)`: the multiplicity of the cone on the ray-index set c;
     - `("chart", betas)`: the chart group and weights of a cone whose
       beta vectors, in ascending ray-index order, are `betas`;
-    - `("cand", rays)`: Algorithm A's candidates at a cone, `rays`
-      giving (index, beta, distinguished) per ray;
     - `("ray", i)`: the primitive generator of the star-born ray i,
       which keeps the lineage to one generator per index.
     """
@@ -273,9 +272,12 @@ class StackyFan:
         c = self._coerce_cone(cone)
         if not 0 <= ray < self.n_rays:
             raise UnknownRay(f"ray index {ray} out of range")
-        if ray not in c:
-            return True
-        return self.multiplicity(c - {ray}) == self.multiplicity(c)
+        return self._independent_at(c, ray)
+
+    def _independent_at(self, c: frozenset[int], i: int) -> bool:
+        """Whether dropping ray i keeps the multiplicity of cone c."""
+        return i not in c or \
+            self._multiplicity(c - {i}) == self._multiplicity(c)
 
     def chart_group(self, cone):
         """(A, weights, marks) of the chart at a cone.
@@ -452,8 +454,7 @@ class StackyFan:
 
         for c in self.maximal_cones:
             m = self.beta_matrix(c, primitive=True)
-            rank = sum(1 for d in smith_normal_form(m).diagonal if d)
-            if rank != len(c):
+            if hnf_columns(m).cols != len(c):
                 out.append(f"cone {sorted(c)}: generators are linearly dependent")
 
         if out:
@@ -465,14 +466,9 @@ class StackyFan:
                     out.append(f"cones {sorted(c1)} and {sorted(c2)} "
                                "do not intersect in a common face")
 
-        # Fewer rays than the rank cannot span, and their SNF would still
-        # build a rank x rank transform.
-        span_rank = 0
-        if len(used) >= self.rank:
-            span = IntMatrix.from_columns(
-                [self.rays[i].primitive for i in used], rows=self.rank)
-            span_rank = sum(1 for d in smith_normal_form(span).diagonal if d)
-        if span_rank != self.rank:
+        span = IntMatrix.from_columns(
+            [self.rays[i].primitive for i in used], rows=self.rank)
+        if hnf_columns(span).cols != self.rank:
             out.append("the cones do not span the ambient space")
 
         if len(set(self.divisors)) != len(self.divisors):

@@ -25,7 +25,16 @@ from destackify.conormal import (
     relative_generic_order,
     toroidal_index,
 )
-from destackify.exact import FinAbGroup, IntMatrix
+from destackify.algorithms import divisorialify
+from destackify.exact import (
+    FinAbGroup,
+    IntMatrix,
+    NotFinite,
+    canonical_presentation,
+    intersect_subgroups,
+    subgroup_as_group,
+    subgroup_generated,
+)
 from helpers import klein_fan, mu5_fan, random_conormal, random_fan
 
 Z2 = FinAbGroup(torsion=(2,))
@@ -159,6 +168,80 @@ class TestDivisorialType:
         b = DivisorialType(IntMatrix.from_rows([(2, 1), (0, 3)]))
         # bottom rows (0,2) vs (0,3) decide, top rows would reverse it
         assert a < b
+
+
+def intersection_route(cd):
+    """Per component, whether its cyclic subgroup meets the subgroup of
+    the other components trivially, decided by subgroup intersection."""
+    out = []
+    for i, c in enumerate(cd.components):
+        own = subgroup_generated(cd.group, [c.weight])
+        rest = subgroup_generated(
+            cd.group,
+            [d.weight for j, d in enumerate(cd.components) if j != i])
+        out.append(c.weight == cd.group.zero()
+                   or intersect_subgroups(own, rest).is_trivial)
+    return tuple(out)
+
+
+def presentation_route(cd):
+    """The divisorial type's matrix through the subgroup presented on
+    its defining tuple and the canonical presentation of that group."""
+    independent = intersection_route(cd)
+    by_mark = {c.mark: i for i, c in enumerate(cd.components)
+               if c.mark is not None}
+    b = [cd.components[by_mark[lab]].weight
+         if lab in by_mark and not independent[by_mark[lab]]
+         else cd.group.zero()
+         for lab in cd.ambient]
+    return canonical_presentation(*subgroup_as_group(cd.group, b))
+
+
+def fan_conormal_data(seed, count):
+    """Conormal data on every cone of seeded random fans and of their
+    divisorialify finals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = random_fan(rng)
+        for fan in (f, divisorialify(f).final):
+            for c in fan.cones():
+                yield conormal_at(fan, c)
+
+
+class TestOneRoute:
+    """The divisorial type from one relation lattice and independence
+    from `ConormalData.independent` agree with the reference routes."""
+
+    @pytest.mark.parametrize("source", ["random_conormal", "random_fan"])
+    def test_against_reference_routes(self, source):
+        if source == "random_conormal":
+            rng = random.Random(39)
+            cases = [random_conormal(rng) for _ in range(150)]
+        else:
+            cases = list(fan_conormal_data(40, 15))
+        nontrivial = 0
+        for cd in cases:
+            assert cd.independent == intersection_route(cd)
+            assert divisorial_type(cd).canonical == presentation_route(cd)
+            nontrivial += divisorial_type(cd).stripped().rows > 0
+        assert nontrivial
+
+    def test_free_rank(self):
+        z = FinAbGroup(free_rank=1)
+        dependent = data(z, ((1,), "E1"), ((2,), "E2"))
+        assert dependent.independent == intersection_route(dependent) == \
+            (False, False)
+        with pytest.raises(NotFinite):
+            divisorial_type(dependent)
+        with pytest.raises(NotFinite):
+            presentation_route(dependent)
+        # Zero entries leave a finite group.  Over a group with free
+        # rank, a nonzero weight never counts as independent.
+        mixed = data(z, ((0,), "E1"), ((1,), None), ambient=("E1", "E2"))
+        assert mixed.independent == intersection_route(mixed) == \
+            (True, False)
+        assert divisorial_type(mixed).canonical == \
+            presentation_route(mixed) == IntMatrix.identity(2)
 
 
 class TestDivisorialIndexAlong:
@@ -427,8 +510,6 @@ class TestInvariantProperties:
             assert five_invariants(cd) == five_invariants(padded)
 
     def test_p2_group_restriction_changes_nothing(self):
-        from destackify.exact import subgroup_as_group
-
         rng = random.Random(36)
         for _ in range(60):
             cd = random_conormal(rng)

@@ -108,16 +108,23 @@ class TestValidation:
                       labels=("D", None, "D"))
         assert f.validate().ok
 
-    def test_support_rank_bound_needs_no_snf(self, monkeypatch):
-        # Fewer used rays than the rank cannot span; deciding that must
-        # not build a rank x rank transform.
+    @pytest.mark.parametrize("make, violations", [
+        (lambda: StackyFan(rank=3, rays=(), maximal_cones=()),
+         ("the cones do not span the ambient space",)),
+        (lambda: StackyFan(rank=2000, rays=((1,) + (0,) * 1999,),
+                           maximal_cones=(frozenset({0}),)),
+         ("the cones do not span the ambient space",)),
+        (klein_fan, ()),
+    ], ids=["empty-rank3", "one-ray-rank2000", "klein"])
+    def test_support_rank_bound_needs_no_snf(self, monkeypatch, make,
+                                             violations):
+        # Both rank tests read the rank off a column Hermite form, so
+        # neither builds a rank x rank transform.
         def refuse(m):
             raise AssertionError("smith_normal_form called")
 
         monkeypatch.setattr("destackify.fans.smith_normal_form", refuse)
-        report = StackyFan(rank=3, rays=(), maximal_cones=()).validate()
-        assert report.violations == (
-            "the cones do not span the ambient space",)
+        assert make().validate().violations == violations
 
     def test_duplicate_ray_direction(self):
         f = StackyFan(rank=2, rays=((1, 0), (0, 1), (2, 0)),

@@ -9,6 +9,7 @@ fans are built and serialised changes a hash.
 
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,10 @@ def _hash(docs) -> str:
     return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
-def _cone(*betas) -> StackyFan:
+def _cone(*betas, labels=None) -> StackyFan:
     return StackyFan(rank=len(betas[0]), rays=betas,
-                     maximal_cones=(frozenset(range(len(betas))),))
+                     maximal_cones=(frozenset(range(len(betas))),),
+                     labels=labels)
 
 
 def test_algorithm_b_rank2():
@@ -57,3 +59,19 @@ def test_cli_pipeline_snapshots(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
         "22b51083ca0fd7af18c4c41248b553430b8dee24adb59c4cf50ae566a14e5018"
+
+
+def test_cli_pipeline_labelled_cone(tmp_path, capsys):
+    # The recipe replays of this run lean hardest on the conormal
+    # invariants, the divisorial type above all.
+    doc = tmp_path / "mu13-5.json"
+    doc.write_text(json.dumps(
+        _cone((13, 5), (0, 1), labels=("E1", "E2")).to_doc()))
+    trace = tmp_path / "mu13-5.jsonl"
+    assert main(["--input", str(doc), "--algorithm", "pipeline",
+                 "--certify", "--trace", str(trace)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["pass"] is True
+    assert trace.read_bytes().count(b"\n") == 75
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+        "52ef5868ebfaa7dba85937f02d203cc0d8130dcdc13e95d49694964a71581dd3"
