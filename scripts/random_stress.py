@@ -4,7 +4,9 @@ Draws random simplicial stacky fans, runs Algorithm B under a step
 budget, and reports how termination behaves as the largest cone
 multiplicity grows.  Runs that exhaust the budget are counted, not
 treated as errors; the step counts of the others are bucketed by
-multiplicity so the growth is visible.
+multiplicity so the growth is visible.  From the repository root:
+
+    PYTHONPATH=src python3 scripts/random_stress.py [--seed N] [--count N]
 """
 
 import argparse

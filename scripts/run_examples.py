@@ -2,7 +2,9 @@
 
 Each fan goes through divisorialification, destackification and
 component splitting; the script prints the step kinds per stage, the
-final rays and the certification report.
+final rays and the certification report.  From the repository root:
+
+    PYTHONPATH=src python3 scripts/run_examples.py [--fan-dir fans]
 """
 
 import argparse

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .conormal import (
-    ConormalData,
     DivisorialType,
     NotDivisorial,
     conormal_at,
@@ -108,11 +107,6 @@ class FormalRaySum:
             for j in range(fan.rank):
                 out[j] += c * b[j]
         return tuple(out)
-
-    def vector(self, n_rays: int) -> tuple[int, ...]:
-        """Coefficient vector for the lexicographic order: oldest ray
-        most significant."""
-        return tuple(self.coefficient(i) for i in range(n_rays))
 
     def __bool__(self) -> bool:
         return bool(self.coefficients)
@@ -280,30 +274,17 @@ def _aggregate(fan: StackyFan, cone) -> AggregateInvariant:
         independency_index(cd), toroidal_index(cd), divisorial_type(cd))
 
 
-_NAMED_INVARIANTS = {
-    "independency": lambda fan, c: independency_index(conormal_at(fan, c)),
-    "toroidal": lambda fan, c: toroidal_index(conormal_at(fan, c)),
-    "divisorial": lambda fan, c: divisorial_index(conormal_at(fan, c)),
-    "multiplicity": lambda fan, c: fan.multiplicity(c),
-    "aggregate": _aggregate,
-}
-
-
 def max_locus(fan: StackyFan, invariant):
     """Maximum of an invariant over all cones and the minimal cones
     attaining it.
 
-    `invariant` is a name from independency/toroidal/divisorial/
-    multiplicity/aggregate or a callable (fan, cone) -> value; a return
-    of None excludes the cone.  The centres must have pairwise disjoint
+    `invariant` is a callable (fan, cone) -> value; a return of None
+    excludes the cone.  The centres must have pairwise disjoint
     orbit closures: no cone of the fan may contain two of them.
     """
-    fn = _NAMED_INVARIANTS.get(invariant, invariant)
-    if not callable(fn):
-        raise ValueError(f"unknown invariant {invariant!r}")
     values = {}
     for c in fan.cones():
-        v = fn(fan, c)
+        v = invariant(fan, c)
         if v is not None:
             values[c] = v
     if not values:
@@ -566,7 +547,8 @@ def divisorialify(fan: StackyFan, limits: RunLimits | None = None
     run = _Run(fan.forget_distinguished(), limits or RunLimits())
     previous = None
     while True:
-        value, centres = max_locus(run.fan, "divisorial")
+        value, centres = max_locus(
+            run.fan, lambda fan, c: divisorial_index(conormal_at(fan, c)))
         if value == 0:
             break
         if previous is not None and value >= previous:
@@ -748,7 +730,7 @@ def _run_destackify(run: _Run) -> None:
     run.fan = run.fan.forget_distinguished()
     previous = None
     while True:
-        value, centres = max_locus(run.fan, "aggregate")
+        value, centres = max_locus(run.fan, _aggregate)
         if value.independency == 0:
             if value.toroidal != 0 or \
                     value.divisorial_type.stripped().rows != 0:

@@ -6,29 +6,20 @@ labeled divisor are marked with that label, the remaining components
 are residual.  This module computes the invariants of that data that
 drive the destackification algorithms (independency index, toroidal
 index, divisorial index, divisorial type, and the divisorial index
-along a divisor), the transformation rule for the data under a stacky
-blow-up, and a matrix presentation of the restricted cotangent
-complex.
-
-The partial order ``dominates`` and the quotient construction
-``quotient_by_kernel`` are brute force with explicit size bounds.
-They exist so the semicontinuity and smoothness properties of the
-invariants can be tested directly; the algorithms themselves only ever
-compare natural numbers and divisorial types.
+along a divisor).  The algorithms only ever compare natural numbers
+and divisorial types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from itertools import product
 
 from .exact import (
     FinAbGroup,
     IntMatrix,
     NotFinite,
     intersect_subgroups,
-    quotient_by,
     relation_lattice,
     subgroup_generated,
 )
@@ -45,14 +36,6 @@ class NotDivisorial(ConormalError):
 
 class LabelAbsent(ConormalError):
     """No component of the data is marked with the requested label."""
-
-
-class TooLarge(ConormalError):
-    """A brute-force search exceeds its size bound."""
-
-
-class BadIndex(ConormalError):
-    """A component index set is empty or out of range."""
 
 
 @dataclass(frozen=True)
@@ -267,186 +250,3 @@ def divisorial_type(cd: ConormalData) -> DivisorialType:
     if rel.cols < len(b):
         raise NotFinite("the divisorial entries generate an infinite group")
     return DivisorialType(rel)
-
-
-# ----------------------------------------------------------------------
-# partial order and quotients
-
-def _image(group: FinAbGroup, images, vector) -> tuple[int, ...]:
-    out = group.zero()
-    for k, img in zip(vector, images):
-        out = group.add(out, group.smul(k, img))
-    return out
-
-
-def dominates(hi: ConormalData, lo: ConormalData,
-              bound: int = 10 ** 4) -> bool:
-    """Whether hi lies above lo in the universal partial order.
-
-    Decided by enumerating surjections phi from hi's group onto lo's
-    group and checking that some phi carries the weight multiset of hi
-    to that of lo, has kernel generated by the hi weight values it
-    kills, respects the weights of shared marks, and kills the weights
-    of marks present only in hi.
-    """
-    if hi.ambient != lo.ambient:
-        raise ValueError("conormal data over different divisor lists")
-    if not set(lo.marks) <= set(hi.marks):
-        return False
-    if len(lo.components) != len(hi.components):
-        return False
-    a, b = hi.group, lo.group
-    if a.order() > bound or b.order() > bound:
-        raise TooLarge(f"group order exceeds the bound {bound}")
-    if a.order() % b.order():
-        return False
-
-    candidates = []
-    for d in a.torsion:
-        candidates.append([x for x in b.elements()
-                           if b.smul(d, x) == b.zero()])
-    count = 1
-    for c in candidates:
-        count *= len(c)
-        if count > 2 * 10 ** 6:
-            raise TooLarge("too many homomorphisms to enumerate")
-
-    lo_weights = sorted(c.weight for c in lo.components)
-    hi_values = sorted({c.weight for c in hi.components})
-    kernel_order = a.order() // b.order()
-    shared = [(hi.weight_of(m), lo.weight_of(m)) for m in lo.marks]
-    dropped = [hi.weight_of(m) for m in set(hi.marks) - set(lo.marks)]
-
-    for images in product(*candidates):
-        phi = lambda w: _image(b, images, w)
-        if any(phi(w) != v for w, v in shared):
-            continue
-        if any(phi(w) != b.zero() for w in dropped):
-            continue
-        if sorted(phi(c.weight) for c in hi.components) != lo_weights:
-            continue
-        if subgroup_generated(b, images).order() != b.order():
-            continue
-        dying = [w for w in hi_values if phi(w) == b.zero()]
-        if subgroup_generated(a, dying).order() != kernel_order:
-            continue
-        return True
-    return False
-
-
-def quotient_by_kernel(cd: ConormalData, kernel_gens,
-                       keep_labels=None) -> ConormalData:
-    """Data obtained by passing to the quotient group and keeping only
-    the given marks; weights of dropped marks must die in the quotient
-    for the result to sit below cd in the partial order, but this is
-    not enforced here."""
-    keep = set(cd.marks) if keep_labels is None else set(keep_labels)
-    quot, coord_images = quotient_by(cd.group, kernel_gens)
-    comps = tuple(
-        Component(_image(quot, coord_images, c.weight),
-                  c.mark if c.mark in keep else None)
-        for c in cd.components)
-    return ConormalData(quot, comps, cd.ambient)
-
-
-# ----------------------------------------------------------------------
-# blow-up transformation
-
-def blowup_weight_transform(cd: ConormalData, centre, exceptional: int,
-                            new_label: str | None = None) -> ConormalData:
-    """Weight transformation under a stacky blow-up.
-
-    centre is the set of component positions spanning the blow-up
-    centre and exceptional the position, within the centre, whose ray
-    is replaced by the exceptional ray in this chart.  Weights of the
-    other centre components drop by the exceptional weight; the
-    exceptional component keeps its weight and is re-marked with a
-    fresh label, appended as the youngest ambient divisor.
-    """
-    n = len(cd.components)
-    centre = {int(j) for j in centre}
-    if not centre:
-        raise BadIndex("blow-up centre is empty")
-    if any(not 0 <= j < n for j in centre):
-        raise BadIndex("centre index out of range")
-    if exceptional not in centre:
-        raise BadIndex("exceptional index must lie in the centre")
-    if new_label is None:
-        k = 1
-        while f"e{k}" in cd.ambient:
-            k += 1
-        new_label = f"e{k}"
-    elif new_label in cd.ambient:
-        raise ValueError(f"label {new_label!r} is already an ambient divisor")
-
-    a_p = cd.components[exceptional].weight
-    comps = list(cd.components)
-    for j in centre:
-        if j != exceptional:
-            comps[j] = Component(cd.group.sub(comps[j].weight, a_p),
-                                 comps[j].mark)
-    comps[exceptional] = Component(a_p, new_label)
-    return ConormalData(cd.group, tuple(comps), cd.ambient + (new_label,))
-
-
-# ----------------------------------------------------------------------
-# cotangent presentation
-
-@dataclass(frozen=True)
-class CotangentPresentation:
-    """Matrix presentation of the restricted cotangent complex.
-
-    One row per invariant factor q_j of the chart group.  The first n
-    columns hold the monomial entries a_ji * x_i, where a_ji is the
-    j-th coordinate of the weight of component i; the last s columns
-    are the diagonal matrix of the q_j.
-    """
-
-    orders: tuple[int, ...]
-    coefficients: IntMatrix
-
-    @property
-    def rows(self) -> int:
-        return len(self.orders)
-
-    @property
-    def cols(self) -> int:
-        return self.coefficients.cols + len(self.orders)
-
-    def matrix(self) -> IntMatrix:
-        s = len(self.orders)
-        diag = IntMatrix.from_rows(
-            [tuple(self.orders[j] if j == k else 0 for k in range(s))
-             for j in range(s)], cols=s)
-        return self.coefficients.hstack(diag)
-
-    def column_weights(self) -> tuple[tuple[int, ...], ...]:
-        """Weights read off the monomial columns."""
-        return self.coefficients.columns()
-
-    def render(self) -> list[list[str]]:
-        out = []
-        n = self.coefficients.cols
-        for j in range(self.rows):
-            row = []
-            for i in range(n):
-                a = self.coefficients[j, i]
-                if a == 0:
-                    row.append("0")
-                elif a == 1:
-                    row.append(f"x{i + 1}")
-                else:
-                    row.append(f"{a}*x{i + 1}")
-            for k in range(self.rows):
-                row.append(str(self.orders[j]) if j == k else "0")
-            out.append(row)
-        return out
-
-
-def cotangent_presentation(cd: ConormalData) -> CotangentPresentation:
-    if cd.group.free_rank:
-        raise ValueError("cotangent presentation needs a finite group")
-    s = len(cd.group.torsion)
-    rows = [tuple(c.weight[j] for c in cd.components) for j in range(s)]
-    coeff = IntMatrix.from_rows(rows, cols=len(cd.components))
-    return CotangentPresentation(cd.group.torsion, coeff)

@@ -2,8 +2,9 @@
 
 Dense matrices over Python's arbitrary-precision integers, Smith and
 Hermite normal forms with transformation tracking, and the small algebra
-of finitely generated abelian groups (elements, subgroups, quotients,
-canonical presentations) that the fan and invariant layers are built on.
+of finitely generated abelian groups (cokernels, relation lattices,
+subgroups and their intersections) that the fan and invariant layers
+are built on.
 
 Everything in this module is immutable and pure; no operation mutates
 its arguments.
@@ -12,7 +13,7 @@ its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ExactError(Exception):
@@ -21,10 +22,6 @@ class ExactError(Exception):
 
 class NotFinite(ExactError):
     """An operation requiring a finite group met positive free rank."""
-
-
-class NotGenerating(ExactError):
-    """The supplied elements do not generate the expected group."""
 
 
 class ParentMismatch(ExactError):
@@ -450,20 +447,6 @@ class FinAbGroup:
             out = math.lcm(out, d // math.gcd(d, x))
         return out
 
-    def elements(self):
-        """All elements in lexicographic coordinate order; finite only."""
-        if self.free_rank:
-            raise NotFinite("cannot enumerate a group of positive free rank")
-
-        def rec(prefix: tuple[int, ...], idx: int):
-            if idx == len(self.torsion):
-                yield prefix
-                return
-            for x in range(self.torsion[idx]):
-                yield from rec(prefix + (x,), idx + 1)
-
-        yield from rec((), 0)
-
 
 def cokernel_of_rows(m: IntMatrix) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
     """Z^cols modulo the span of m's rows, with the classes of e_1..e_cols.
@@ -509,30 +492,6 @@ def relation_lattice(group: FinAbGroup, elems) -> IntMatrix:
     return hnf_columns(proj)
 
 
-def canonical_presentation(group: FinAbGroup, elems) -> IntMatrix:
-    """The canonical relation matrix of a finite group on a generating list.
-
-    Returns the unique m x m upper-triangular matrix C with positive
-    diagonal and each entry right of the diagonal in row i reduced into
-    [0, c_ii), whose columns span the lattice ker(Z^m -> group,
-    e_i -> elems_i).  Divisorial types are compared through this form.
-    """
-    if group.free_rank:
-        raise NotFinite("canonical presentation needs a finite group")
-    m = len(elems)
-    if m == 0:
-        if group.order() != 1:
-            raise NotGenerating("no elements cannot generate a nontrivial group")
-        return IntMatrix.zeros(0, 0)
-    h = relation_lattice(group, elems)
-    if h.cols != m:
-        raise NotGenerating("relation lattice is not full rank")
-    index = math.prod(h.entries[i][i] for i in range(m))
-    if index != group.order():
-        raise NotGenerating("elements generate a proper subgroup")
-    return h
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of a FinAbGroup, stored as the canonical column Hermite
@@ -563,16 +522,12 @@ class Subgroup:
 
     @property
     def is_trivial(self) -> bool:
-        try:
-            return self.order() == 1
-        except NotFinite:
-            return False
-
-    def elements(self):
-        """Enumeration fallback; intended for small parents only."""
-        for x in self.parent.elements():
-            if self.contains(x):
-                yield x
+        # The preimage contains the relation lattice, spanned by the
+        # d_i * e_i; it is that lattice (the zero subgroup) exactly when
+        # it has the same rank and the d_i on its Hermite diagonal.
+        t = self.parent.torsion
+        return self.basis.cols == len(t) and \
+            all(self.basis.entries[i][i] == d for i, d in enumerate(t))
 
 
 def subgroup_generated(group: FinAbGroup, gens) -> Subgroup:
@@ -595,32 +550,3 @@ def intersect_subgroups(h1: Subgroup, h2: Subgroup) -> Subgroup:
     ker = kernel_columns(combined)
     cols = [b1.apply(ker.col(j)[:b1.cols]) for j in range(ker.cols)]
     return Subgroup(h1.parent, hnf_columns(IntMatrix.from_columns(cols, rows=k)))
-
-
-def quotient_by(group: FinAbGroup, gens) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
-    """group / <gens> with the images of group's canonical coordinates."""
-    k = group.ncoords
-    rows = [tuple(d if j == i else 0 for j in range(k))
-            for i, d in enumerate(group.torsion)]
-    rows.extend(group.reduce(g) for g in gens)
-    if not rows:
-        return cokernel_of_rows(IntMatrix.zeros(0, k))
-    return cokernel_of_rows(IntMatrix.from_rows(rows, cols=k))
-
-
-def subgroup_as_group(group: FinAbGroup, gens) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
-    """<gens> presented abstractly, with the images of the gens.
-
-    The subgroup is presented on the generating list itself: the result
-    is Z^len(gens) modulo the relation lattice of gens in group.
-    """
-    m = len(gens)
-    if m == 0:
-        return FinAbGroup(), ()
-    rel = relation_lattice(group, gens)
-    rows = [rel.col(j) for j in range(rel.cols)]
-    if rows:
-        mat = IntMatrix.from_rows(rows, cols=m)
-    else:
-        mat = IntMatrix.zeros(0, m)
-    return cokernel_of_rows(mat)

@@ -401,9 +401,6 @@ class StackyFan:
         coords = self.cone_coordinates(cone, point)
         return coords is not None and all(x >= 0 for x in coords)
 
-    def support_contains_point(self, point) -> bool:
-        return any(self.cone_contains_point(c, point) for c in self.maximal_cones)
-
     def refines(self, other: "StackyFan") -> bool:
         """True if every maximal cone of self lies inside a cone of other.
 
@@ -424,7 +421,7 @@ class StackyFan:
     # ------------------------------------------------------------------
     # validation
 
-    def validate(self, full: bool = True) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         out: list[str] = []
         if self.rank < 1:
             out.append("rank must be at least 1")
@@ -460,11 +457,10 @@ class StackyFan:
         if out:
             return ValidationReport(tuple(out))
 
-        if full:
-            for c1, c2 in itertools.combinations(self.maximal_cones, 2):
-                if not self._proper_intersection(c1, c2):
-                    out.append(f"cones {sorted(c1)} and {sorted(c2)} "
-                               "do not intersect in a common face")
+        for c1, c2 in itertools.combinations(self.maximal_cones, 2):
+            if not self._proper_intersection(c1, c2):
+                out.append(f"cones {sorted(c1)} and {sorted(c2)} "
+                           "do not intersect in a common face")
 
         span = IntMatrix.from_columns(
             [self.rays[i].primitive for i in used], rows=self.rank)

@@ -1,105 +1,13 @@
-"""Shared helpers for the test suite: brute-force oracles and random data.
-
-Oracles here deliberately avoid the library's normal-form code paths:
-determinants are computed by Bareiss (checked against cofactor expansion
-for tiny sizes), quotients by breadth-first closure, lattice membership
-by fraction arithmetic.
-"""
+"""Shared helpers for the test suite: fixture fans and seeded random
+data.  The brute-force oracles live in `oracles.py`."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from fractions import Fraction
 
 from destackify.exact import FinAbGroup, IntMatrix
-
-
-def closure(group: FinAbGroup, gens) -> set:
-    """All elements reachable from 0 by adding gens (the subgroup <gens>)."""
-    seen = {group.zero()}
-    frontier = [group.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
-def cofactor_det(rows) -> int:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-    return total
-
-
-def minors_gcd_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors via gcds of k x k minors; independent oracle."""
-    out = []
-    prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
-        g = 0
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                sub = [[m.entries[i][j] for j in cols] for i in rows]
-                g = math.gcd(g, cofactor_det(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
-
-def fraction_solve(columns, target):
-    """Solve sum x_j * col_j = target over Q; None if unsolvable.
-
-    Plain Gaussian elimination over Fraction; used as the membership
-    oracle (a lattice vector is in the span iff the rational solution
-    exists and is integral, for full-column-rank inputs).
-    """
-    if not columns:
-        return [] if not any(target) else None
-    nrows = len(columns[0])
-    ncols = len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-         for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if a[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = a[row_idx][ncols]
-    # free variables (rank-deficient input) are left at zero; callers
-    # only use this oracle with independent columns
-    if any(a[i][c] for i in range(r) for c in range(ncols) if c not in pivots):
-        raise ValueError("oracle needs independent columns")
-    return sol
+from oracles import cofactor_det
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:
@@ -142,49 +50,7 @@ def random_element(rng: random.Random, group: FinAbGroup):
 
 
 # ----------------------------------------------------------------------
-# fan-level oracles and generators
-
-def box_scan_points(columns, rank):
-    """Lattice points of the half-open parallelotope on integer columns.
-
-    Independent of the library's normal forms: solves
-    det(Gram) * lambda = adj(Gram) * V^T * z with integer cofactor
-    expansions, then scans the integer bounding box with numpy.
-    Returns None when the columns are linearly dependent.
-    """
-    import numpy as np
-
-    cols = [tuple(int(x) for x in c) for c in columns]
-    k = len(cols)
-    if k == 0:
-        return [(0,) * rank]
-    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(k)]
-            for i in range(k)]
-    det = cofactor_det(gram)
-    if det == 0:
-        return None
-    adj = [[(-1) ** (i + j) * cofactor_det(
-        [row[:i] + row[i + 1:] for r, row in enumerate(gram) if r != j])
-        for j in range(k)] for i in range(k)]
-    # w = adj(gram) @ V^T, so w @ z = det * lambda for z in the span
-    w = [[sum(adj[i][l] * cols[l][r] for l in range(k)) for r in range(rank)]
-         for i in range(k)]
-    lo = [sum(min(0, cols[i][r]) for i in range(k)) for r in range(rank)]
-    hi = [sum(max(0, cols[i][r]) for i in range(k)) for r in range(rank)]
-    axes = [np.arange(lo[r], hi[r] + 1, dtype=np.int64) for r in range(rank)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    z = np.stack([g.ravel() for g in grid])            # rank x M
-    lam = np.array(w, dtype=np.int64) @ z              # k x M, = det * lambda
-    if det > 0:
-        mask = ((lam >= 0) & (lam < det)).all(axis=0)
-    else:
-        mask = ((lam <= 0) & (lam > det)).all(axis=0)
-    v = np.array(cols, dtype=np.int64).T               # rank x k
-    back = v @ lam[:, mask]
-    exact = (back == det * z[:, mask]).all(axis=0)
-    pts = z[:, mask][:, exact]
-    return sorted(tuple(int(x) for x in pts[:, m]) for m in range(pts.shape[1]))
-
+# fans
 
 def random_cone_columns(rng: random.Random, rank: int, k: int | None = None,
                         bound: int = 9):
@@ -276,7 +142,7 @@ def random_fan(rng: random.Random, rank: int | None = None, bound: int = 6,
         dist = frozenset(used[len(used) - min(n_dist, len(used)):])
         fan = StackyFan(rank=n, rays=tuple(rays), maximal_cones=tuple(cones),
                         labels=tuple(labels), distinguished=dist)
-        if fan.validate(full=True).ok:
+        if fan.validate().ok:
             return fan
     raise RuntimeError("random fan generation kept failing validation")
 

@@ -1,27 +1,22 @@
-"""Conormal data: the five invariants, the partial order, blow-up
-transformation and cotangent presentation."""
+"""Conormal data: the five invariants, and their checks against the
+partial order, blow-up transformation and cotangent presentation of
+`oracles`."""
 
 import random
 
 import pytest
 
 from destackify.conormal import (
-    BadIndex,
     Component,
     ConormalData,
     DivisorialType,
     LabelAbsent,
     NotDivisorial,
-    TooLarge,
-    blowup_weight_transform,
     conormal_at,
-    cotangent_presentation,
     divisorial_index,
     divisorial_index_along,
     divisorial_type,
-    dominates,
     independency_index,
-    quotient_by_kernel,
     relative_generic_order,
     toroidal_index,
 )
@@ -30,12 +25,20 @@ from destackify.exact import (
     FinAbGroup,
     IntMatrix,
     NotFinite,
-    canonical_presentation,
     intersect_subgroups,
-    subgroup_as_group,
     subgroup_generated,
 )
 from helpers import klein_fan, mu5_fan, random_conormal, random_fan
+from oracles import (
+    BadIndex,
+    TooLarge,
+    blowup_weight_transform,
+    canonical_presentation,
+    cotangent_presentation,
+    dominates,
+    quotient_by_kernel,
+    subgroup_as_group,
+)
 
 Z2 = FinAbGroup(torsion=(2,))
 Z4 = FinAbGroup(torsion=(4,))
@@ -235,13 +238,18 @@ class TestOneRoute:
             divisorial_type(dependent)
         with pytest.raises(NotFinite):
             presentation_route(dependent)
-        # Zero entries leave a finite group.  Over a group with free
-        # rank, a nonzero weight never counts as independent.
+        # Zero entries leave a finite group.
         mixed = data(z, ((0,), "E1"), ((1,), None), ambient=("E1", "E2"))
         assert mixed.independent == intersection_route(mixed) == \
-            (True, False)
+            (True, True)
         assert divisorial_type(mixed).canonical == \
             presentation_route(mixed) == IntMatrix.identity(2)
+
+    def test_nonzero_weight_beside_zero_over_free_rank(self):
+        cd = ConormalData(FinAbGroup(free_rank=1),
+                          (Component((1,), None), Component((0,), None)), ())
+        assert cd.independent == (True, True)
+        assert independency_index(cd) == 0
 
 
 class TestDivisorialIndexAlong:

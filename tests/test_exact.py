@@ -10,26 +10,25 @@ from destackify.exact import (
     FinAbGroup,
     IntMatrix,
     NotFinite,
-    NotGenerating,
     ParentMismatch,
-    canonical_presentation,
     cokernel_of_rows,
     hnf_columns,
     hnf_pivots,
     hnf_solve,
     intersect_subgroups,
     kernel_columns,
-    quotient_by,
     smith_normal_form,
-    subgroup_as_group,
     subgroup_generated,
 )
-from helpers import (
+from helpers import random_group, random_matrix, random_unimodular
+from oracles import (
+    NotGenerating,
+    canonical_presentation,
     closure,
+    elements,
     minors_gcd_invariant_factors,
-    random_group,
-    random_matrix,
-    random_unimodular,
+    quotient_by,
+    subgroup_as_group,
 )
 
 small_matrices = st.integers(0, 4).flatmap(
@@ -250,7 +249,7 @@ class TestCanonicalPresentation:
             group = FinAbGroup(torsion=torsion)
             if group.order() > 12:
                 continue
-            all_elems = list(group.elements())
+            all_elems = elements(group)
             for m in (1, 2, 3):
                 for _ in range(6):
                     elems = [rng.choice(all_elems) for _ in range(m)]
@@ -270,7 +269,7 @@ class TestCanonicalPresentation:
         rng = random.Random(43)
         for _ in range(60):
             group = random_group(rng, max_order=24)
-            all_elems = list(group.elements())
+            all_elems = elements(group)
             m = rng.randint(1, 3)
             elems = [rng.choice(all_elems) for _ in range(m)]
             if len(closure(group, elems)) != group.order():
@@ -289,7 +288,7 @@ class TestSubgroups:
         g = FinAbGroup(torsion=(2, 4))
         h = subgroup_generated(g, [(1, 1)])
         assert h.order() == 4
-        assert {x for x in g.elements() if h.contains(x)} == \
+        assert {x for x in elements(g) if h.contains(x)} == \
             {(0, 0), (1, 1), (0, 2), (1, 3)}
 
         assert subgroup_generated(g, []).order() == 1
@@ -312,6 +311,17 @@ class TestSubgroups:
         trivial = subgroup_generated(g, [])
         assert intersect_subgroups(h1, trivial).order() == 1
 
+    def test_trivial_with_free_rank(self):
+        z = FinAbGroup(free_rank=1)
+        assert subgroup_generated(z, []).is_trivial
+        assert subgroup_generated(z, [(0,)]).is_trivial
+        assert not subgroup_generated(z, [(2,)]).is_trivial
+        mixed = FinAbGroup(torsion=(2,), free_rank=1)
+        assert subgroup_generated(mixed, [(0, 0)]).is_trivial
+        assert not subgroup_generated(mixed, [(1, 0)]).is_trivial
+        assert intersect_subgroups(subgroup_generated(z, [(1,)]),
+                                   subgroup_generated(z, [])).is_trivial
+
     def test_parent_mismatch(self):
         h1 = subgroup_generated(FinAbGroup(torsion=(4,)), [(2,)])
         h2 = subgroup_generated(FinAbGroup(torsion=(2,)), [(1,)])
@@ -322,7 +332,7 @@ class TestSubgroups:
         rng = random.Random(53)
         for _ in range(120):
             g = random_group(rng)
-            all_elems = list(g.elements())
+            all_elems = elements(g)
             gens1 = [rng.choice(all_elems) for _ in range(rng.randint(0, 2))]
             gens2 = [rng.choice(all_elems) for _ in range(rng.randint(0, 2))]
             h1 = subgroup_generated(g, gens1)
@@ -334,6 +344,7 @@ class TestSubgroups:
             meet = intersect_subgroups(h1, h2)
             assert {x for x in all_elems if meet.contains(x)} == set1 & set2
             assert meet.order() == len(set1 & set2)
+            assert meet.is_trivial == (len(set1 & set2) == 1)
             # canonical form is generating-set independent
             assert h1 == subgroup_generated(g, list(set1))
 
@@ -352,7 +363,7 @@ class TestQuotients:
         rng = random.Random(61)
         for _ in range(100):
             g = random_group(rng)
-            all_elems = list(g.elements())
+            all_elems = elements(g)
             gens = [rng.choice(all_elems) for _ in range(rng.randint(0, 2))]
             q, images = quotient_by(g, gens)
             assert q.order() == g.order() // len(closure(g, gens))
@@ -363,7 +374,7 @@ class TestQuotients:
                     acc = q.add(acc, q.smul(coord, img))
                 phi[x] = acc
             # surjective homomorphism with kernel <gens>
-            assert set(phi.values()) == set(q.elements())
+            assert set(phi.values()) == set(elements(q))
             kernel = {x for x, v in phi.items() if v == q.zero()}
             assert kernel == closure(g, gens)
 
@@ -371,7 +382,7 @@ class TestQuotients:
         rng = random.Random(67)
         for _ in range(100):
             g = random_group(rng)
-            all_elems = list(g.elements())
+            all_elems = elements(g)
             gens = [rng.choice(all_elems) for _ in range(rng.randint(0, 3))]
             h, images = subgroup_as_group(g, gens)
             assert h.order() == len(closure(g, gens))
@@ -401,11 +412,11 @@ class TestGroupBasics:
 
     def test_elements(self):
         g = FinAbGroup(torsion=(2, 4))
-        elems = list(g.elements())
+        elems = elements(g)
         assert len(elems) == 8
         assert len(set(elems)) == 8
         with pytest.raises(NotFinite):
-            list(FinAbGroup(free_rank=1).elements())
+            elements(FinAbGroup(free_rank=1))
 
     @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-5, 5))
     def test_arithmetic(self, x, y, k):
