@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .conormal import (
     DivisorialType,
@@ -407,19 +406,20 @@ def _a_candidates(fan: StackyFan, cone, memo: dict
     if cached is not None:
         return cached
     out = {}
+    # lambda_i / mult_i = n_i / (D mult_i) is proportional to n_i L / mult_i
+    # for L the lcm of the multiples; the gcd makes it primitive.
     multiples = [fan.rays[i].stacky_multiple for i in idx]
-    for point, lam in fan._parallelotope(cone):
-        if all(x == 0 for x in lam):
+    lcm = math.lcm(*multiples)
+    scale = [lcm // m for m in multiples]
+    dist_at = [p for p, i in enumerate(idx) if i in dist]
+    for n in fan._box(cone)[1]:
+        if not any(n[p] for p in dist_at):
             continue
-        fracs = [Fraction(l) / m for l, m in zip(lam, multiples)]
-        t = math.lcm(*[f.denominator for f in fracs])
-        coeffs = [int(f * t) for f in fracs]
+        coeffs = [x * s for x, s in zip(n, scale)]
         g = math.gcd(*coeffs)
-        coeffs = [c // g for c in coeffs]
-        psi = FormalRaySum(tuple(
-            (i, c) for i, c in zip(idx, coeffs) if c))
-        if not psi.support.isdisjoint(dist):
-            out[psi.coefficients] = psi
+        pairs = tuple((i, c // g) for i, c in zip(idx, coeffs) if c)
+        if pairs not in out:
+            out[pairs] = FormalRaySum(pairs)
     cached = memo[key] = tuple(out.values())
     return cached
 
@@ -838,7 +838,7 @@ def certify(fan: StackyFan) -> CertReport:
 
     coarse_smooth = True
     for c in fan.cones():
-        m = fan.multiplicity(c)
+        m = fan._multiplicity(c)
         if m != 1:
             coarse_smooth = False
             failures.append(

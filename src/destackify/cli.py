@@ -103,16 +103,24 @@ def _invariant_records(fan: StackyFan):
 
 
 def _cross_check(fan: StackyFan) -> None:
-    # Second route for each invariant the run relied on: lattice-point
-    # counting against the determinant, and the subgroup intersection
-    # test against the multiplicity quotient, and the relative-interior
-    # Box test against the points found there.
+    # Second route for each invariant the run relied on: the count of
+    # distinct lattice points, and on full-dimensional cones the Bareiss
+    # determinant, against the Smith-form multiplicity; the subgroup
+    # intersection test against the multiplicity quotient; and the
+    # relative-interior Box test against the points found there.
     for c in fan.cones():
-        counted = len(fan.parallelotope_points(c))
-        if counted != fan.multiplicity(c):
+        mult = fan.multiplicity(c)
+        counted = len(set(fan.parallelotope_points(c)))
+        if counted != mult:
             raise AlgorithmError(
                 f"oracle: cone {sorted(c)} multiplicity "
-                f"{fan.multiplicity(c)} but {counted} lattice points")
+                f"{mult} but {counted} distinct lattice points")
+        if len(c) == fan.rank:
+            det = abs(fan.beta_matrix(c, primitive=True).det())
+            if det != mult:
+                raise AlgorithmError(
+                    f"oracle: cone {sorted(c)} multiplicity "
+                    f"{mult} but determinant {det}")
         interior = fan.parallelotope_points(c, relative_interior=True)
         if fan._has_relint(c) != bool(interior):
             raise AlgorithmError(

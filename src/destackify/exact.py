@@ -402,10 +402,6 @@ class FinAbGroup:
         return len(self.torsion) + self.free_rank
 
     @property
-    def is_trivial(self) -> bool:
-        return self.ncoords == 0
-
-    @property
     def moduli(self) -> tuple[int, ...]:
         # 0 marks a free coordinate
         return self.torsion + (0,) * self.free_rank

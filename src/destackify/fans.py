@@ -224,49 +224,62 @@ class StackyFan:
                    for r in range(len(idx) + 1)
                    for f in itertools.combinations(idx, r)) > 0
 
-    def _parallelotope(self, c: frozenset[int]):
-        """All lattice points of the half-open parallelotope on the
-        primitive generators, each with its coordinate vector; the point
-        count equals the multiplicity.  Enumerated on every call: only
-        the public routes and Algorithm A's uncached candidates ask."""
-        idx = sorted(c)
-        if not idx:
-            return ((tuple(0 for _ in range(self.rank)), ()),)
+    def _box(self, c: frozenset[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The Box of cone c in integers: (D, numerators).
+
+        Each lattice point of the half-open parallelotope on the
+        primitive generators v_i is sum_i (n_i / D) v_i for exactly one
+        numerator vector n with 0 <= n_i < D; the count equals the
+        multiplicity.  From the Smith form u M v = d of the generator
+        matrix M, M lam is integral exactly when lam = v y with every
+        d_j y_j integral; so, with D the largest invariant factor, the n
+        are V diag(D/d_j) mu mod D over mu in prod_j range(d_j).  They
+        are combinations of the columns w_j of V diag(D/d_j), so the
+        integrality check M n = 0 mod D holds on every n once it holds
+        on every w_j.  Enumerated on every call: only the public routes
+        and Algorithm A's uncached candidates ask."""
+        k = len(c)
+        if not k:
+            return 1, ((),)
         m = self.beta_matrix(c, primitive=True)
         snf = smith_normal_form(m)
         diag = snf.diagonal
-        k = len(idx)
-        pts = []
-        for mu in itertools.product(*[range(d) for d in diag]):
-            lam = []
-            for i in range(k):
-                s = Fraction(0)
-                for j in range(k):
-                    if mu[j]:
-                        s += Fraction(snf.v.entries[i][j] * mu[j], diag[j])
-                s -= math.floor(s)
-                lam.append(s)
-            point = []
-            for row in range(self.rank):
-                s = sum(lam[i] * m.entries[row][i] for i in range(k))
-                point.append(s)
-            if any(x.denominator != 1 for x in point):
-                raise FanError(f"non-integral parallelotope point {point} "
-                               f"at cone {idx}")
-            pts.append((tuple(int(x) for x in point), tuple(lam)))
-        pts.sort(key=lambda pl: pl[0])
-        return tuple(pts)
+        big = diag[-1]
+        if not big:
+            raise FanError(f"cone {sorted(c)}: generators are linearly dependent")
+        ns = [(0,) * k]
+        for j, d in enumerate(diag):
+            if d == 1:
+                continue
+            w = tuple(row[j] * (big // d) % big for row in snf.v.entries)
+            if any(sum(a * x for a, x in zip(row, w)) % big
+                   for row in m.entries):
+                raise FanError(f"non-integral parallelotope point {w}/{big} "
+                               f"at cone {sorted(c)}")
+            ns = [tuple((a + t * x) % big for a, x in zip(n, w))
+                  for n in ns for t in range(d)]
+        return big, tuple(ns)
 
     def parallelotope_points(self, cone, relative_interior: bool = False):
         return tuple(p for p, _ in
                      self.parallelotope_lambdas(cone, relative_interior))
 
     def parallelotope_lambdas(self, cone, relative_interior: bool = False):
-        """(point, coordinates over the primitive generators) pairs."""
-        pts = self._parallelotope(self._coerce_cone(cone))
-        if relative_interior:
-            return tuple((p, lam) for p, lam in pts if all(x > 0 for x in lam))
-        return pts
+        """(point, coordinates over the primitive generators) pairs,
+        sorted by point; the `Fraction` coordinates are built here from
+        the integer Box of `_box`."""
+        c = self._coerce_cone(cone)
+        big, ns = self._box(c)
+        cols = [self.rays[i].primitive for i in sorted(c)]
+        pts = []
+        for n in ns:
+            if relative_interior and not all(n):
+                continue
+            point = tuple(sum(x * col[r] for x, col in zip(n, cols)) // big
+                          for r in range(self.rank))
+            pts.append((point, tuple(Fraction(x, big) for x in n)))
+        pts.sort(key=lambda pl: pl[0])
+        return tuple(pts)
 
     def independent_at(self, cone, ray: int) -> bool:
         c = self._coerce_cone(cone)
@@ -390,33 +403,48 @@ class StackyFan:
     # ------------------------------------------------------------------
     # geometry helpers
 
-    def cone_coordinates(self, cone, point):
-        """Coordinates of a point over the cone's primitive generators,
-        or None if the point is outside the cone's span.  Exact."""
-        idx = sorted(cone)
-        cols = [self.rays[i].primitive for i in idx]
-        return _solve_fractions(cols, point, self.rank)
-
     def cone_contains_point(self, cone, point) -> bool:
-        coords = self.cone_coordinates(cone, point)
-        return coords is not None and all(x >= 0 for x in coords)
+        return _in_cone(self._containment(cone), point)
+
+    def _containment(self, cone):
+        """(P, Q) with integer rows such that a point p lies in the cone
+        exactly when Q p = 0 and P p >= 0.
+
+        From the Smith form u A v = d of the primitive generator matrix
+        A (rank x k), p lies in A's span exactly when the rows u[k:]
+        vanish on it, and there its coordinates are v diag(1/d_j) u[:k] p;
+        P = v diag(D/d_j) u[:k], with D the largest invariant factor, is
+        D times that left inverse."""
+        k = len(cone)
+        snf = smith_normal_form(self.beta_matrix(cone, primitive=True))
+        diag = snf.diagonal
+        big = diag[-1] if k else 1
+        if not big:
+            raise ValueError("columns are dependent")
+        u, v = snf.u.entries, snf.v.entries
+        scaled = [[x * (big // diag[j]) for x in u[j]] for j in range(k)]
+        p_rows = tuple(
+            tuple(sum(v[i][j] * scaled[j][r] for j in range(k))
+                  for r in range(self.rank))
+            for i in range(k))
+        return p_rows, u[k:]
 
     def refines(self, other: "StackyFan") -> bool:
         """True if every maximal cone of self lies inside a cone of other.
 
-        Together with equality of supports this is fan refinement; the
-        support comparison is left to sampling-based tests.
+        A cone lies in a cone exactly when its rays do, so each cone of
+        other gets one integer containment test (`_containment`), applied
+        once to each ray of self that a maximal cone uses.  Together
+        with equality of supports this is fan refinement; the support
+        comparison is left to sampling-based tests.
         """
-        for c in self.maximal_cones:
-            found = False
-            for m in other.maximal_cones:
-                if all(other.cone_contains_point(m, self.rays[i].primitive)
-                       for i in c):
-                    found = True
-                    break
-            if not found:
-                return False
-        return True
+        used = {i for c in self.maximal_cones for i in c}
+        inside = []
+        for m in other.maximal_cones:
+            test = other._containment(m)
+            inside.append({i for i in used
+                           if _in_cone(test, self.rays[i].primitive)})
+        return all(any(c <= s for s in inside) for c in self.maximal_cones)
 
     # ------------------------------------------------------------------
     # validation
@@ -505,7 +533,7 @@ class StackyFan:
         bcols = [self.rays[i].primitive for i in b_idx]
         cols = acols + [tuple(-x for x in b) for b in bcols]
         m = len(cols)
-        ccols = [self.rays[i].primitive for i in common]
+        face = None  # the containment test of the common face, once needed
         max_size = min(m, self.rank + 1)
         for size in range(1, max_size + 1):
             for sub in itertools.combinations(range(m), size):
@@ -525,8 +553,9 @@ class StackyFan:
                     if j < len(acols):
                         for r in range(self.rank):
                             point[r] += z[pos] * acols[j][r]
-                coords = _solve_fractions(ccols, point, self.rank)
-                if coords is None or any(x < 0 for x in coords):
+                if face is None:
+                    face = self._containment(common)
+                if not _in_cone(face, point):
                     return False
         return True
 
@@ -599,28 +628,8 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _solve_fractions(columns, target, nrows):
-    """Solve sum x_j col_j = target exactly; None when target is outside
-    the column span.  Columns must be linearly independent."""
-    ncols = len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-         for i in range(nrows)]
-    r = 0
-    piv_cols = []
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pivot is None:
-            raise ValueError("columns are dependent")
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if a[i][ncols]:
-            return None
-    return tuple(a[j][ncols] for j in range(ncols))
+def _in_cone(test, point) -> bool:
+    """Whether a point passes a `StackyFan._containment` test."""
+    p_rows, q_rows = test
+    return all(not sum(a * x for a, x in zip(row, point)) for row in q_rows) \
+        and all(sum(a * x for a, x in zip(row, point)) >= 0 for row in p_rows)

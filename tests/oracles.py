@@ -14,8 +14,15 @@ Each entry names the package route it checks:
 - `box_scan_points`: Box points by scanning the bounding box with
   integer cofactors; checks `StackyFan.multiplicity` and the
   parallelotope routes.
+- `fraction_coordinates` and `cone_contains`: coordinates over a cone's
+  generators and cone membership by `Fraction` elimination; check
+  `StackyFan.cone_contains_point` and `StackyFan.refines`.
 - `support_contains_point`: membership in a fan's support, one cone at a
-  time; checks that a star subdivision keeps the support.
+  time through `cone_contains`; checks that a star subdivision keeps
+  the support.
+- `a_candidates`: Algorithm A's candidate sums from the `Fraction`
+  coordinates of the parallelotope points; checks the integer
+  candidates of `algorithm_a`.
 - `quotient_by`: a quotient group through `cokernel_of_rows`; it builds
   the data of `quotient_by_kernel`.
 - `subgroup_as_group`: a subgroup presented on its generators; it checks
@@ -44,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from destackify.conormal import Component, ConormalData, ConormalError
 from destackify.exact import (
@@ -217,8 +225,54 @@ def box_scan_points(columns, rank):
     return sorted(tuple(int(x) for x in pts[:, m]) for m in range(pts.shape[1]))
 
 
+def fraction_coordinates(columns, point):
+    """Coordinates of a point over linearly independent columns by
+    Gauss-Jordan elimination over `Fraction`; None off their span."""
+    rows = len(point)
+    a = [[Fraction(col[r]) for col in columns] + [Fraction(point[r])]
+         for r in range(rows)]
+    for c in range(len(columns)):
+        pivot = next(r for r in range(c, rows) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(rows):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    if any(a[r][-1] for r in range(len(columns), rows)):
+        return None
+    return tuple(a[c][-1] for c in range(len(columns)))
+
+
+def cone_contains(fan, cone, point) -> bool:
+    coords = fraction_coordinates(
+        [fan.rays[i].primitive for i in sorted(cone)], point)
+    return coords is not None and all(x >= 0 for x in coords)
+
+
 def support_contains_point(fan, point) -> bool:
-    return any(fan.cone_contains_point(c, point) for c in fan.maximal_cones)
+    return any(cone_contains(fan, c, point) for c in fan.maximal_cones)
+
+
+def a_candidates(fan, cone) -> set:
+    """Coefficient tuples of Algorithm A's candidates at a cone: for each
+    nonzero parallelotope point with coordinates lam, the primitive
+    integer vector on the ray of lam_i / stacky_multiple_i, kept when its
+    support meets a distinguished ray."""
+    idx = sorted(cone)
+    dist = {i for i in idx if fan.labels[i] in fan.distinguished}
+    multiples = [fan.rays[i].stacky_multiple for i in idx]
+    out = set()
+    for _, lam in fan.parallelotope_lambdas(cone):
+        if not any(lam):
+            continue
+        fracs = [Fraction(x) / m for x, m in zip(lam, multiples)]
+        t = math.lcm(*[f.denominator for f in fracs])
+        coeffs = [int(f * t) for f in fracs]
+        g = math.gcd(*coeffs)
+        pairs = tuple((i, c // g) for i, c in zip(idx, coeffs) if c)
+        if any(i in dist for i, _ in pairs):
+            out.add(pairs)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from destackify import (
     restrict_steps,
     split_components,
 )
+import destackify.algorithms as algorithms
 from destackify.algorithms import _along_profile
 from destackify.conormal import (
     Component,
@@ -43,6 +44,7 @@ from destackify.conormal import (
 from destackify.exact import FinAbGroup
 from helpers import klein_fan, mu2_fan, mu5_fan, random_fan, random_subfan, \
     random_unimodular
+from oracles import a_candidates
 
 
 def cone_fan(*betas, labels=None, distinguished=frozenset()):
@@ -203,6 +205,40 @@ class TestAlgorithmB:
             assert out.refines(f)
             assert not out.distinguished
             checked += 1
+
+
+class TestIntegerRoutes:
+    def test_a_candidates_against_fraction_route(self, monkeypatch):
+        # Every cone Algorithm A asks about while Algorithm B runs on
+        # seeded random fans gets the candidates of the Fraction route.
+        original = algorithms._a_candidates
+        asked = []
+
+        def checked(fan, cone, memo):
+            got = original(fan, cone, memo)
+            assert {p.coefficients for p in got} == a_candidates(fan, cone)
+            asked.append(max(fan.rays[i].stacky_multiple for i in cone))
+            return got
+
+        monkeypatch.setattr(algorithms, "_a_candidates", checked)
+        rng = random.Random(15)
+        for _ in range(20):
+            try:
+                algorithm_b(random_fan(rng), RunLimits(max_steps=25))
+            except StepLimitExceeded:
+                pass
+        assert len(asked) > 50 and max(asked) > 1
+
+    def test_algorithm_b_and_refines_need_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction called")
+
+        for module in ("destackify.fans", "destackify.algorithms"):
+            monkeypatch.setattr(module + ".Fraction", refuse, raising=False)
+        f = cone_fan((17, 5), (0, 1))
+        seq = algorithm_b(f)
+        assert len(seq) == 161
+        assert seq.final.refines(f)
 
 
 class TestLineageMemo:

@@ -157,7 +157,7 @@ class TestCokernel:
         assert images == ((1,), (0,))
 
         g, images = cokernel_of_rows(IntMatrix.identity(2))
-        assert g.is_trivial
+        assert g.order() == 1
         assert images == ((), ())
 
     def test_free_part(self):
