@@ -567,25 +567,24 @@ def _check_divisorial(fan: StackyFan) -> None:
                 f"cone {sorted(c)} has positive divisorial index")
 
 
-def _along_profile(fan: StackyFan, label: str) -> int:
-    """Maximum of the divisorial index along a divisor over the cones
-    meeting it."""
-    best = 0
+def _along_profile(fan: StackyFan) -> dict[str, int]:
+    """Per distinguished divisor, oldest first: the maximum of the
+    divisorial index along it over the cones meeting it."""
+    best = {lab: 0 for lab in fan.divisors if lab in fan.distinguished}
     for c in fan.cones():
-        if any(fan.labels[i] == label for i in c):
-            best = max(best, divisorial_index_along(
-                conormal_at(fan, c), label))
+        met = {fan.labels[i] for i in c} & best.keys()
+        if met:
+            cd = conormal_at(fan, c)
+            for lab in met:
+                best[lab] = max(best[lab], divisorial_index_along(cd, lab))
     return best
 
 
-def _along_tuple(fan: StackyFan, bound: int) -> tuple[int, ...]:
+def _along_tuple(profile: dict[str, int], bound: int) -> tuple[int, ...]:
     """(w_N, ..., w_1): the number of distinguished components whose
     along-index maximum equals each value, largest first."""
     counts = [0] * (bound + 1)
-    for label in fan.divisors:
-        if label not in fan.distinguished:
-            continue
-        v = _along_profile(fan, label)
+    for v in profile.values():
         if v > bound:
             raise PostconditionError(
                 f"along-index {v} exceeded the initial bound {bound}")
@@ -595,21 +594,13 @@ def _along_tuple(fan: StackyFan, bound: int) -> tuple[int, ...]:
 
 def _run_along(run: _Run) -> None:
     _check_divisorial(run.fan)
-    bound = None
-    previous = None
+    profile = _along_profile(run.fan)
+    bound = max(profile.values(), default=0)
+    previous = _along_tuple(profile, bound)
     while True:
-        target = None
-        for label in run.fan.divisors:
-            if label in run.fan.distinguished and \
-                    _along_profile(run.fan, label) > 0:
-                target = label
-                break
+        target = next((lab for lab, v in profile.items() if v > 0), None)
         if target is None:
             break
-        if bound is None:
-            bound = max(_along_profile(run.fan, lab)
-                        for lab in run.fan.distinguished)
-            previous = _along_tuple(run.fan, bound)
 
         def along(fan, c, _lab=target):
             if not any(fan.labels[i] == _lab for i in c):
@@ -625,7 +616,8 @@ def _run_along(run: _Run) -> None:
                     f"component {target}")
         label = run.alloc.fresh()
         _star_at(run, centres, label, distinguished=True)
-        current = _along_tuple(run.fan, bound)
+        profile = _along_profile(run.fan)
+        current = _along_tuple(profile, bound)
         if not current < previous:
             raise PostconditionError(
                 f"along-index tuple did not decrease: {previous} -> {current}")
@@ -733,7 +725,7 @@ def _run_destackify(run: _Run) -> None:
         value, centres = max_locus(run.fan, _aggregate)
         if value.independency == 0:
             if value.toroidal != 0 or \
-                    value.divisorial_type.stripped().rows != 0:
+                    value.divisorial_type.size != 0:
                 raise PostconditionError(
                     "independency vanished but the aggregate did not")
             break

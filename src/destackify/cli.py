@@ -105,9 +105,9 @@ def _invariant_records(fan: StackyFan):
 def _cross_check(fan: StackyFan) -> None:
     # Second route for each invariant the run relied on: the count of
     # distinct lattice points, and on full-dimensional cones the Bareiss
-    # determinant, against the Smith-form multiplicity; the subgroup
-    # intersection test against the multiplicity quotient; and the
-    # relative-interior Box test against the points found there.
+    # determinant, against the Smith-form multiplicity; independence read
+    # off the chart's relation lattice against the multiplicity quotient;
+    # and the relative-interior Box test against the points found there.
     for c in fan.cones():
         mult = fan.multiplicity(c)
         counted = len(set(fan.parallelotope_points(c)))
@@ -116,7 +116,7 @@ def _cross_check(fan: StackyFan) -> None:
                 f"oracle: cone {sorted(c)} multiplicity "
                 f"{mult} but {counted} distinct lattice points")
         if len(c) == fan.rank:
-            det = abs(fan.beta_matrix(c, primitive=True).det())
+            det = abs(fan.generator_matrix(c).det())
             if det != mult:
                 raise AlgorithmError(
                     f"oracle: cone {sorted(c)} multiplicity "

@@ -12,6 +12,7 @@ and divisorial types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 
@@ -19,7 +20,6 @@ from .exact import (
     FinAbGroup,
     IntMatrix,
     NotFinite,
-    intersect_subgroups,
     relation_lattice,
     subgroup_generated,
 )
@@ -88,16 +88,18 @@ class ConormalData:
     @cached_property
     def independent(self) -> tuple[bool, ...]:
         """Per component: whether its cyclic subgroup meets the subgroup
-        generated by all other components trivially; weight zero is
-        always independent."""
-        zero = self.group.zero()
+        generated by all other components trivially.
+
+        That holds exactly when c_i * w_i = 0 for every relation c among
+        the weights.  The i-th coefficients of the relations are the
+        multiples of g_i, the gcd of row i of the relation lattice's
+        basis, so the test is g_i * w_i = 0.  An independent weight of
+        infinite order has g_i = 0, and weight zero has g_i = 1."""
         ws = [c.weight for c in self.components]
-        return tuple(
-            w == zero or intersect_subgroups(
-                subgroup_generated(self.group, [w]),
-                subgroup_generated(self.group, ws[:i] + ws[i + 1:]),
-            ).is_trivial
-            for i, w in enumerate(ws))
+        rel = relation_lattice(self.group, ws)
+        zero = self.group.zero()
+        return tuple(self.group.smul(math.gcd(*rel.row(i)), w) == zero
+                     for i, w in enumerate(ws))
 
 
 def conormal_at(fan: StackyFan, cone) -> ConormalData:
@@ -176,19 +178,30 @@ def _paper_order_key(mat: IntMatrix):
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DivisorialType:
     """Canonical presentation matrix of the divisorial type.
 
-    The matrix is square upper triangular with positive diagonal and
-    one row per ambient divisor label.  Instances over divisor lists of
-    different lengths compare by padding the smaller matrix with an
-    identity block at the young end, which is exactly how the type
-    transforms when an independent divisor is appended; equality and
-    hashing strip such trailing blocks for the same reason.
+    The matrix is square upper triangular with positive diagonal, one
+    row per ambient divisor label up to the youngest label whose column
+    is not a standard basis vector.  Appending an independent divisor
+    appends an identity block at the young end, so construction strips
+    any trailing identity block: equal types hold equal matrices.
+    Types of different sizes compare by padding the smaller matrix with
+    an identity block at the young end.
     """
 
     canonical: IntMatrix
+
+    def __post_init__(self) -> None:
+        mat = self.canonical
+        m = mat.rows
+        while m > 0 and all(mat[i, m - 1] == (1 if i == m - 1 else 0)
+                            for i in range(m)):
+            m -= 1
+        if m < mat.rows:
+            object.__setattr__(self, "canonical", IntMatrix.from_rows(
+                [mat.row(i)[:m] for i in range(m)], cols=m))
 
     @property
     def size(self) -> int:
@@ -204,23 +217,6 @@ class DivisorialType:
             rows.append(tuple(1 if j == i else 0 for j in range(m)))
         return IntMatrix.from_rows(rows, cols=m)
 
-    def stripped(self) -> IntMatrix:
-        m = self.size
-        while m > 0 and all(
-                self.canonical[i, m - 1] == (1 if i == m - 1 else 0)
-                for i in range(m)):
-            m -= 1
-        return IntMatrix.from_rows(
-            [self.canonical.row(i)[:m] for i in range(m)], cols=m)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DivisorialType):
-            return NotImplemented
-        return self.stripped() == other.stripped()
-
-    def __hash__(self) -> int:
-        return hash(self.stripped())
-
     def __lt__(self, other: "DivisorialType") -> bool:
         m = max(self.size, other.size)
         return _paper_order_key(self.padded(m)) < \
@@ -235,7 +231,7 @@ def divisorial_type(cd: ConormalData) -> DivisorialType:
     independent, and zero otherwise.  The type is the canonical
     presentation of the subgroup these entries generate: the column
     Hermite form of the lattice of relations among them, which must
-    have full rank.
+    have full rank, stripped of its trailing identity block.
     """
     by_mark = {c.mark: i for i, c in enumerate(cd.components)
                if c.mark is not None}

@@ -3,7 +3,7 @@
 Dense matrices over Python's arbitrary-precision integers, Smith and
 Hermite normal forms with transformation tracking, and the small algebra
 of finitely generated abelian groups (cokernels, relation lattices,
-subgroups and their intersections) that the fan and invariant layers
+generated subgroups and membership) that the fan and invariant layers
 are built on.
 
 Everything in this module is immutable and pure; no operation mutates
@@ -22,10 +22,6 @@ class ExactError(Exception):
 
 class NotFinite(ExactError):
     """An operation requiring a finite group met positive free rank."""
-
-
-class ParentMismatch(ExactError):
-    """Subgroups of different parent groups were combined."""
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -113,13 +109,6 @@ class IntMatrix:
             out.append(tuple(sum(row[k] * other.entries[k][j] for k in range(self.cols))
                              for j in range(other.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, vector) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        vec = tuple(int(x) for x in vector)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self.entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -516,15 +505,6 @@ class Subgroup:
         den = math.prod(val for _, val in pivots)
         return self.parent.order() // den
 
-    @property
-    def is_trivial(self) -> bool:
-        # The preimage contains the relation lattice, spanned by the
-        # d_i * e_i; it is that lattice (the zero subgroup) exactly when
-        # it has the same rank and the d_i on its Hermite diagonal.
-        t = self.parent.torsion
-        return self.basis.cols == len(t) and \
-            all(self.basis.entries[i][i] == d for i, d in enumerate(t))
-
 
 def subgroup_generated(group: FinAbGroup, gens) -> Subgroup:
     """Smallest subgroup containing gens, in canonical form."""
@@ -533,16 +513,3 @@ def subgroup_generated(group: FinAbGroup, gens) -> Subgroup:
     rel = _relation_columns(group)
     mat = IntMatrix.from_columns(list(cols) + list(rel.columns()), rows=k)
     return Subgroup(group, hnf_columns(mat))
-
-
-def intersect_subgroups(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    if h1.parent != h2.parent:
-        raise ParentMismatch("subgroups of different parent groups")
-    k = h1.parent.ncoords
-    b1, b2 = h1.basis, h2.basis
-    if b1.cols == 0 or b2.cols == 0:
-        return Subgroup(h1.parent, IntMatrix.from_columns([], rows=k))
-    combined = b1.hstack(b2.neg())
-    ker = kernel_columns(combined)
-    cols = [b1.apply(ker.col(j)[:b1.cols]) for j in range(ker.cols)]
-    return Subgroup(h1.parent, hnf_columns(IntMatrix.from_columns(cols, rows=k)))

@@ -190,13 +190,11 @@ class StackyFan:
             raise UnknownCone(f"{sorted(c)} is not a cone of the fan")
         return c
 
-    def beta_matrix(self, cone, primitive: bool = False) -> IntMatrix:
-        """Columns are the (primitive) generators of the cone's rays, in
+    def generator_matrix(self, cone) -> IntMatrix:
+        """Columns are the primitive generators of the cone's rays, in
         ascending ray-index order."""
-        idx = sorted(cone)
-        cols = [self.rays[i].primitive if primitive else self.rays[i].beta
-                for i in idx]
-        return IntMatrix.from_columns(cols, rows=self.rank)
+        return IntMatrix.from_columns(
+            [self.rays[i].primitive for i in sorted(cone)], rows=self.rank)
 
     # ------------------------------------------------------------------
     # multiplicities and parallelotopes
@@ -211,7 +209,7 @@ class StackyFan:
         v = self._lineage.get(key)
         if v is None:
             v = math.prod(smith_normal_form(
-                self.beta_matrix(c, primitive=True)).diagonal) if c else 1
+                self.generator_matrix(c)).diagonal) if c else 1
             self._lineage[key] = v
         return v
 
@@ -241,7 +239,7 @@ class StackyFan:
         k = len(c)
         if not k:
             return 1, ((),)
-        m = self.beta_matrix(c, primitive=True)
+        m = self.generator_matrix(c)
         snf = smith_normal_form(m)
         diag = snf.diagonal
         big = diag[-1]
@@ -403,9 +401,6 @@ class StackyFan:
     # ------------------------------------------------------------------
     # geometry helpers
 
-    def cone_contains_point(self, cone, point) -> bool:
-        return _in_cone(self._containment(cone), point)
-
     def _containment(self, cone):
         """(P, Q) with integer rows such that a point p lies in the cone
         exactly when Q p = 0 and P p >= 0.
@@ -416,7 +411,7 @@ class StackyFan:
         P = v diag(D/d_j) u[:k], with D the largest invariant factor, is
         D times that left inverse."""
         k = len(cone)
-        snf = smith_normal_form(self.beta_matrix(cone, primitive=True))
+        snf = smith_normal_form(self.generator_matrix(cone))
         diag = snf.diagonal
         big = diag[-1] if k else 1
         if not big:
@@ -478,7 +473,7 @@ class StackyFan:
                 directions[p] = i
 
         for c in self.maximal_cones:
-            m = self.beta_matrix(c, primitive=True)
+            m = self.generator_matrix(c)
             if hnf_columns(m).cols != len(c):
                 out.append(f"cone {sorted(c)}: generators are linearly dependent")
 
@@ -490,9 +485,7 @@ class StackyFan:
                 out.append(f"cones {sorted(c1)} and {sorted(c2)} "
                            "do not intersect in a common face")
 
-        span = IntMatrix.from_columns(
-            [self.rays[i].primitive for i in used], rows=self.rank)
-        if hnf_columns(span).cols != self.rank:
+        if hnf_columns(self.generator_matrix(used)).cols != self.rank:
             out.append("the cones do not span the ambient space")
 
         if len(set(self.divisors)) != len(self.divisors):

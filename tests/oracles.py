@@ -4,10 +4,16 @@ package against, and the constructions those tests need.
 Each entry names the package route it checks:
 
 - `closure`: a subgroup by breadth-first addition; checks
-  `subgroup_generated`, `intersect_subgroups` and `cokernel_of_rows`.
+  `subgroup_generated`, `cokernel_of_rows` and the `intersect_subgroups`
+  below.
 - `elements`: every element of a finite group; with `closure` it checks
   `Subgroup.contains`, `subgroup_generated` and `intersect_subgroups`
   element by element.
+- `intersect_subgroups` and `is_trivial`: the meet of two subgroups from
+  the kernel of their stacked Hermite bases, and the test that a
+  subgroup is zero; together they are the reference route for
+  `ConormalData.independent`, which reads the relation lattice instead.
+- `apply`: a matrix times a column vector; checks `kernel_columns`.
 - `cofactor_det` and `minors_gcd_invariant_factors`: determinants by
   cofactor expansion and invariant factors by gcds of minors; check
   `smith_normal_form`.
@@ -16,7 +22,8 @@ Each entry names the package route it checks:
   parallelotope routes.
 - `fraction_coordinates` and `cone_contains`: coordinates over a cone's
   generators and cone membership by `Fraction` elimination; check
-  `StackyFan.cone_contains_point` and `StackyFan.refines`.
+  `StackyFan.refines` and the containment test it shares with
+  `StackyFan.validate`.
 - `support_contains_point`: membership in a fan's support, one cone at a
   time through `cone_contains`; checks that a star subdivision keeps
   the support.
@@ -59,7 +66,10 @@ from destackify.exact import (
     FinAbGroup,
     IntMatrix,
     NotFinite,
+    Subgroup,
     cokernel_of_rows,
+    hnf_columns,
+    kernel_columns,
     relation_lattice,
     subgroup_generated,
 )
@@ -99,11 +109,23 @@ def minors_gcd_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def apply(m: IntMatrix, vector) -> tuple[int, ...]:
+    """Matrix times column vector."""
+    vec = tuple(int(x) for x in vector)
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in m.entries)
+
+
 # ----------------------------------------------------------------------
 # finite abelian groups
 
 class NotGenerating(ExactError):
     """The supplied elements do not generate the expected group."""
+
+
+class ParentMismatch(ExactError):
+    """Subgroups of different parent groups were combined."""
 
 
 def closure(group: FinAbGroup, gens) -> set:
@@ -125,6 +147,31 @@ def elements(group: FinAbGroup) -> list[tuple[int, ...]]:
     if group.free_rank:
         raise NotFinite("cannot enumerate a group of positive free rank")
     return list(itertools.product(*(range(d) for d in group.torsion)))
+
+
+def intersect_subgroups(h1: Subgroup, h2: Subgroup) -> Subgroup:
+    """The meet of two subgroups: the images under h1's basis of the
+    first coordinates of the kernel of [h1 | -h2]."""
+    if h1.parent != h2.parent:
+        raise ParentMismatch("subgroups of different parent groups")
+    k = h1.parent.ncoords
+    b1, b2 = h1.basis, h2.basis
+    if b1.cols == 0 or b2.cols == 0:
+        return Subgroup(h1.parent, IntMatrix.from_columns([], rows=k))
+    ker = kernel_columns(b1.hstack(b2.neg()))
+    cols = [apply(b1, ker.col(j)[:b1.cols]) for j in range(ker.cols)]
+    return Subgroup(h1.parent, hnf_columns(IntMatrix.from_columns(cols, rows=k)))
+
+
+def is_trivial(h: Subgroup) -> bool:
+    """Whether h is the zero subgroup.
+
+    The preimage lattice contains the relations d_i * e_i of the parent
+    and equals their span exactly when it has the same rank and the d_i
+    on its Hermite diagonal."""
+    t = h.parent.torsion
+    return h.basis.cols == len(t) and \
+        all(h.basis.entries[i][i] == d for i, d in enumerate(t))
 
 
 def quotient_by(group: FinAbGroup, gens) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:

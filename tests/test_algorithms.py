@@ -31,7 +31,6 @@ from destackify import (
     split_components,
 )
 import destackify.algorithms as algorithms
-from destackify.algorithms import _along_profile
 from destackify.conormal import (
     Component,
     ConormalData,
@@ -59,6 +58,15 @@ def independency(fan, cone):
 
 def divisorial(fan, cone):
     return divisorial_index(conormal_at(fan, cone))
+
+
+def along_maxima(fan):
+    """Per divisor label: the largest divisorial index along it over the
+    cones meeting it."""
+    return {lab: max((divisorial_index_along(conormal_at(fan, c), lab)
+                      for c in fan.cones()
+                      if any(fan.labels[i] == lab for i in c)), default=0)
+            for lab in fan.divisors}
 
 
 def smooth3(labels, distinguished):
@@ -321,8 +329,7 @@ class TestDivisorialifyAlong:
                      distinguished={"E1"})
         seq = divisorialify_along(f)
         assert seq.kinds() == ("star",)
-        for lab in seq.final.divisors:
-            assert _along_profile(seq.final, lab) == 0
+        assert set(along_maxima(seq.final).values()) == {0}
 
     def test_no_distinguished_is_empty(self):
         f = cone_fan((1, 0), (1, 2), labels=("E1", None))
@@ -337,8 +344,21 @@ class TestDivisorialifyAlong:
         assert divisorial_index_along(cd, "E1") == 5
         seq = divisorialify_along(f)
         assert seq.kinds() == ("star",) * 5
-        assert all(_along_profile(seq.final, lab) == 0
-                   for lab in seq.final.distinguished)
+        assert set(along_maxima(seq.final).values()) == {0}
+
+    def test_two_distinguished_divisors(self):
+        # One cone meets both distinguished divisors, with along index 1
+        # at E1 and 4 at E2: the profile holds both, oldest first, and
+        # the older divisor E1 is blown up first.
+        f = cone_fan((1, 0, 4), (-4, 3, 1), (1, -2, -4),
+                     labels=("E1", "E2", None), distinguished={"E1", "E2"})
+        assert along_maxima(f) == {"E1": 1, "E2": 4}
+        assert list(algorithms._along_profile(f).items()) == \
+            [("E1", 1), ("E2", 4)]
+        seq = divisorialify_along(f)
+        assert [s.to_doc()["centres"] for s in seq.steps] == \
+            [[[0, 2]], [[1, 2]], [[2, 4]], [[2, 5]], [[2, 6]]]
+        assert set(along_maxima(seq.final).values()) == {0}
 
     def test_requires_divisorial(self):
         with pytest.raises(NotDivisorial):

@@ -2,10 +2,12 @@
 partial order, blow-up transformation and cotangent presentation of
 `oracles`."""
 
+import itertools
 import random
 
 import pytest
 
+from destackify import conormal
 from destackify.conormal import (
     Component,
     ConormalData,
@@ -21,13 +23,7 @@ from destackify.conormal import (
     toroidal_index,
 )
 from destackify.algorithms import divisorialify
-from destackify.exact import (
-    FinAbGroup,
-    IntMatrix,
-    NotFinite,
-    intersect_subgroups,
-    subgroup_generated,
-)
+from destackify.exact import FinAbGroup, IntMatrix, NotFinite, subgroup_generated
 from helpers import klein_fan, mu5_fan, random_conormal, random_fan
 from oracles import (
     BadIndex,
@@ -36,6 +32,8 @@ from oracles import (
     canonical_presentation,
     cotangent_presentation,
     dominates,
+    intersect_subgroups,
+    is_trivial,
     quotient_by_kernel,
     subgroup_as_group,
 )
@@ -135,9 +133,10 @@ class TestDivisorialType:
 
     def test_independent_divisors_identity(self):
         dt = divisorial_type(data(Z2, ((1,), "E1")))
-        assert dt.canonical == IntMatrix.identity(1)
+        assert dt == DivisorialType(IntMatrix.identity(1))
         dt = divisorial_type(data(Z6, ((3,), "E1"), ((2,), "E2")))
-        assert dt.canonical == IntMatrix.identity(2)
+        assert dt == DivisorialType(IntMatrix.identity(2))
+        assert dt.size == 0
 
     def test_pair_of_halves(self):
         dt = divisorial_type(data(Z2, ((1,), "E1"), ((1,), "E2")))
@@ -154,7 +153,7 @@ class TestDivisorialType:
         small = divisorial_type(data(Z2, ((1,), "E1"), ((1,), "E2")))
         grown = divisorial_type(data(Z2, ((1,), "E1"), ((1,), "E2"),
                                      ambient=("E1", "E2", "E3")))
-        assert grown.size == 3
+        assert grown.canonical == small.canonical
         assert grown == small
         assert hash(grown) == hash(small)
         assert not grown < small and not small < grown
@@ -172,6 +171,28 @@ class TestDivisorialType:
         # bottom rows (0,2) vs (0,3) decide, top rows would reverse it
         assert a < b
 
+    def test_equality_hash_and_order_agree(self):
+        # One representative per matrix, and beside it the type built
+        # from that matrix padded by two identity rows.
+        rng = random.Random(44)
+        cases = list(fan_conormal_data(40, 15)) + \
+            [random_conormal(rng) for _ in range(150)]
+        reps = {}
+        for cd in cases:
+            try:
+                t = divisorial_type(cd)
+            except NotFinite:
+                continue
+            reps.setdefault(t.canonical, t)
+        types = list(reps.values())
+        assert len(types) > 20 and max(t.size for t in types) > 2
+        padded = [DivisorialType(t.padded(t.size + 2)) for t in types]
+        assert padded == types
+        for a, b in itertools.product(types + padded, repeat=2):
+            assert (a == b) == (not a < b and not b < a)
+            if a == b:
+                assert hash(a) == hash(b)
+
 
 def intersection_route(cd):
     """Per component, whether its cyclic subgroup meets the subgroup of
@@ -183,7 +204,7 @@ def intersection_route(cd):
             cd.group,
             [d.weight for j, d in enumerate(cd.components) if j != i])
         out.append(c.weight == cd.group.zero()
-                   or intersect_subgroups(own, rest).is_trivial)
+                   or is_trivial(intersect_subgroups(own, rest)))
     return tuple(out)
 
 
@@ -211,6 +232,18 @@ def fan_conormal_data(seed, count):
                 yield conormal_at(fan, c)
 
 
+def free_rank_conormal(rng):
+    """`random_conormal` data over its group times Z or Z^2, each weight
+    given small free coordinates."""
+    cd = random_conormal(rng)
+    free = rng.randint(1, 2)
+    comps = tuple(
+        Component(c.weight + tuple(rng.choice((0, 0, 1, -2, 3))
+                                   for _ in range(free)), c.mark)
+        for c in cd.components)
+    return ConormalData(FinAbGroup(cd.group.torsion, free), comps, cd.ambient)
+
+
 class TestOneRoute:
     """The divisorial type from one relation lattice and independence
     from `ConormalData.independent` agree with the reference routes."""
@@ -225,8 +258,9 @@ class TestOneRoute:
         nontrivial = 0
         for cd in cases:
             assert cd.independent == intersection_route(cd)
-            assert divisorial_type(cd).canonical == presentation_route(cd)
-            nontrivial += divisorial_type(cd).stripped().rows > 0
+            assert divisorial_type(cd) == \
+                DivisorialType(presentation_route(cd))
+            nontrivial += divisorial_type(cd).size > 0
         assert nontrivial
 
     def test_free_rank(self):
@@ -242,14 +276,40 @@ class TestOneRoute:
         mixed = data(z, ((0,), "E1"), ((1,), None), ambient=("E1", "E2"))
         assert mixed.independent == intersection_route(mixed) == \
             (True, True)
-        assert divisorial_type(mixed).canonical == \
-            presentation_route(mixed) == IntMatrix.identity(2)
+        assert presentation_route(mixed) == IntMatrix.identity(2)
+        assert divisorial_type(mixed) == \
+            DivisorialType(presentation_route(mixed))
 
     def test_nonzero_weight_beside_zero_over_free_rank(self):
         cd = ConormalData(FinAbGroup(free_rank=1),
                           (Component((1,), None), Component((0,), None)), ())
         assert cd.independent == (True, True)
         assert independency_index(cd) == 0
+
+    def test_independence_reads_one_relation_lattice(self, monkeypatch):
+        rng = random.Random(43)
+        cases = [random_conormal(rng) for _ in range(100)] + \
+            [free_rank_conormal(rng) for _ in range(60)]
+        expected = [intersection_route(cd) for cd in cases]
+
+        def refuse(*args):
+            raise AssertionError("subgroup_generated called")
+
+        real = conormal.relation_lattice
+        lattices = []
+
+        def counted(group, elems):
+            lattices.append(group)
+            return real(group, elems)
+
+        monkeypatch.setattr(conormal, "subgroup_generated", refuse)
+        monkeypatch.setattr(conormal, "relation_lattice", counted)
+        for cd, want in zip(cases, expected):
+            before = len(lattices)
+            assert cd.independent == cd.independent == want
+            assert len(lattices) == before + 1
+        assert any(cd.group.free_rank and False in cd.independent
+                   for cd in cases)
 
 
 class TestDivisorialIndexAlong:

@@ -16,6 +16,7 @@ from destackify.fans import (
     UnknownCone,
     UnknownRay,
     ZeroCone,
+    _in_cone,
     cone_key,
 )
 from helpers import (
@@ -289,7 +290,7 @@ class TestContainment:
                 kinds.add("off span" if coords is None else
                           "inside" if all(x >= 0 for x in coords) else
                           "outside")
-                assert f.cone_contains_point(cone, point) == \
+                assert _in_cone(f._containment(cone), point) == \
                     cone_contains(f, cone, point)
         assert kinds == {"inside", "outside", "off span"}
 
